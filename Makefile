@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test race obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke sampling-accuracy bench benchjson profile report
+.PHONY: ci vet fmt build test race obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke nocache-smoke sampling-accuracy bench benchjson profile report
 
 ## ci: the pre-merge check — vet, gofmt, build, full tests, race-enabled
 ## cache and pipeline tests, the scheduler differential, the SoA/pooling
@@ -8,7 +8,7 @@ GO ?= go
 ## observability, attribution, metrics/tracing, run-ledger and
 ## self-profiling smoke tests. Documented in README.md; run before every
 ## merge.
-ci: vet fmt build test race sched-smoke sched-soa sampling-accuracy obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke
+ci: vet fmt build test race sched-smoke sched-soa sampling-accuracy obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke nocache-smoke
 
 vet:
 	$(GO) vet ./...
@@ -134,6 +134,18 @@ selfprof-smoke:
 	$(GO) test -run 'TestDashHealthStrip|TestDashEmptyLedger|TestDashSingleRecord' -count=1 ./internal/ledger >/dev/null && \
 	$(GO) test -run 'TestWatchdog' -count=1 ./internal/core >/dev/null && \
 	rm -rf $$dir && echo "selfprof-smoke ok"
+
+# -nocache end to end: the same two-program sweep with the caches on and
+# off must print byte-identical reports, bar the timing line. -nocache
+# runs the same sweep loop with every cache lookup computing fresh.
+nocache-smoke:
+	@dir=$$(mktemp -d); \
+	run() { $(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32,comm.gen01 -input small \
+		-plots=false "$$@" 2>/dev/null | sed '/completed in/d'; }; \
+	run > $$dir/cached && run -nocache > $$dir/nocache && \
+	grep -q '^Slack-Profile ' $$dir/cached && cmp $$dir/cached $$dir/nocache || \
+		{ echo "nocache-smoke FAILED"; rm -rf $$dir; exit 1; }; \
+	rm -rf $$dir && echo "nocache-smoke ok"
 
 # Sampling accuracy gate: the representative-interval estimator must
 # simulate >=5x fewer instructions in detail than the full run while landing

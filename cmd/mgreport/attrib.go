@@ -21,33 +21,22 @@ import (
 // profile would have steered the selector the same way".
 const slackTolerance = 4.0
 
-// selectorByName finds a selection policy by its paper name.
-func selectorByName(name string) (*selector.Selector, error) {
-	for _, s := range selector.Main() {
-		if s.Name() == name {
-			return s, nil
-		}
-	}
-	var names []string
-	for _, s := range selector.Main() {
-		names = append(names, s.Name())
-	}
-	return nil, fmt.Errorf("unknown selector %q (want one of %v)", name, names)
-}
-
 // attrib runs the cycle-loss attribution engine end-to-end for one
 // workload: prepare, profile, select under the policy, simulate with a
 // pipetrace attached, walk the critical path, and cross-check the static
 // slack profile against the observed slack. outBase, when non-empty, also
 // writes <outBase>.json (full report) and <outBase>.csv (scoreboard).
 func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, top int) error {
-	cfg, ok := pipeline.ConfigByName(cfgName)
-	if !ok {
-		return fmt.Errorf("unknown machine configuration %q (want baseline, reduced, width2, width8, or dmem4)", cfgName)
-	}
-	sel, err := selectorByName(selName)
+	cfg, err := pipeline.ConfigByName(cfgName)
 	if err != nil {
 		return err
+	}
+	sel, err := selector.ByName(selName)
+	if err != nil {
+		return err
+	}
+	if sel == nil {
+		return fmt.Errorf("-attribsel %q selects nothing; attribution needs a policy", selName)
 	}
 	bench, err := core.PrepareByName(workloadName, input)
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -54,9 +52,6 @@ func main() {
 		ptraceBin  = flag.Bool("pipetrace-bin", false, "write pipetraces in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
 		intervals  = flag.Int64("intervals", 0, "sample interval metrics every N cycles (0 = off)")
 		tracedir   = flag.String("tracedir", "", "observability output directory (default \"obs\")")
-		verbose    = flag.Bool("v", false, "structured task telemetry on stderr")
-		httpaddr   = flag.String("httpaddr", "", "serve expvar, pprof, /metrics and /debug/sweep on this address during the run")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace (and FILE.spans.jsonl) of the run's spans to FILE")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		attribW    = flag.String("attrib", "", "run cycle-loss attribution on this workload instead of an experiment")
@@ -64,14 +59,12 @@ func main() {
 		attribCfg  = flag.String("attribcfg", "reduced", "machine configuration for -attrib")
 		attribOut  = flag.String("attribout", "", "base path for -attrib JSON/CSV artifacts")
 		attribTop  = flag.Int("attribtop", 10, "offender/comparison rows to print in -attrib")
-		refsched   = flag.Bool("refsched", false, "use the reference per-cycle scan scheduler instead of the event-driven one")
-		ledgerDir  = flag.String("ledger", "", "append a run record per completed task to the persistent ledger in this directory")
-		ledgerRev  = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 		watchdog   = flag.Bool("watchdog", false, "arm the sweep watchdog: report tasks running far past the sweep median and wedged sweeps to /debug/sweep and the -v telemetry log")
 		wdSlow     = flag.Float64("watchdog-slow", 8, "with -watchdog: flag a task once it exceeds this multiple of the sweep's median task time")
 		wdWedge    = flag.Duration("watchdog-wedge", 2*time.Minute, "with -watchdog: flag the sweep when no task completes for this long")
 	)
 	resolveSample := core.SampleFlags()
+	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	runStart := time.Now()
 	sample, err := resolveSample()
@@ -83,21 +76,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgreport: -attrib needs the full-detail run (attribution walks the real pipetrace); drop the -sample-* flags")
 		os.Exit(2)
 	}
-	if *refsched {
-		pipeline.SetDefaultScheduler(pipeline.SchedScan)
+	if *nocache {
+		core.SetCachingDisabled(true)
 	}
-	if *ledgerDir != "" {
-		led, err := ledger.Open(*ledgerDir, *ledgerRev)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgreport:", err)
-			os.Exit(1)
-		}
-		defer led.Close()
-		core.SetLedger(led)
+	drv, err := resolveDriver()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgreport:", err)
+		os.Exit(1)
 	}
 
 	if *attribW != "" {
-		if err := attrib(os.Stdout, *attribW, *input, *attribSel, *attribCfg, *attribOut, *attribTop); err != nil {
+		err := attrib(os.Stdout, *attribW, *input, *attribSel, *attribCfg, *attribOut, *attribTop)
+		if cerr := drv.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "mgreport:", err)
 			os.Exit(1)
 		}
@@ -105,7 +98,7 @@ func main() {
 		return
 	}
 
-	opts := core.Options{Input: *input, Workers: *workers, NoCache: *nocache,
+	opts := core.Options{Input: *input, Workers: *workers,
 		Obs: obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir), Sample: sample}
 	if *watchdog {
 		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
@@ -118,31 +111,6 @@ func main() {
 	}
 	if *progress {
 		opts.Progress = os.Stderr
-	}
-	if *nocache {
-		core.SetCachingDisabled(true)
-	}
-	if *verbose {
-		core.SetTelemetry(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	}
-	if *httpaddr != "" {
-		core.PublishExpvars()
-		core.EnableMetrics()
-		addr, err := obs.ServeDebug(*httpaddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgreport:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars /debug/pprof/ /metrics /debug/sweep\n", addr)
-		metrics.StartHealth(0)
-	}
-	var tracer *metrics.Tracer
-	if *traceOut != "" {
-		core.EnableMetrics()
-		tracer = metrics.NewTracer()
-		metrics.InstallTracer(tracer)
-		metrics.SetTraceOut(*traceOut)
-		metrics.SetCPUAccounting(true)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -163,13 +131,9 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\n[%s completed in %v]\n", *exp, time.Since(start).Round(time.Millisecond))
-	if tracer != nil {
-		jsonl, err := metrics.WriteTraceFiles(*traceOut, tracer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgreport:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %s (Chrome/Perfetto), %s (JSONL)\n", *traceOut, jsonl)
+	if err := drv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "mgreport:", err)
+		os.Exit(1)
 	}
 	if *cacheStats {
 		core.FprintCacheStats(os.Stderr)
@@ -256,12 +220,10 @@ func run(w io.Writer, exp, limitWorkload string, plots bool, opts core.Options) 
 		if err := limitStudy(w, limitWorkload, opts); err != nil {
 			return err
 		}
-		fig9Opts := core.Options{Input: opts.Input, Progress: opts.Progress,
-			Workloads: opts.Workloads, Obs: opts.Obs}
-		if err := sweep(w, plots, fig9Opts, core.Fig9Top); err != nil {
+		if err := sweep(w, plots, opts, core.Fig9Top); err != nil {
 			return err
 		}
-		return sweep(w, plots, fig9Opts, core.Fig9Bottom)
+		return sweep(w, plots, opts, core.Fig9Bottom)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 	"time"
@@ -37,14 +36,9 @@ func main() {
 		ptraceBin  = flag.Bool("pipetrace-bin", false, "write the pipetrace in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
 		intervals  = flag.Int64("intervals", 0, "sample interval metrics of the profiling run every N cycles (0 = off)")
 		tracedir   = flag.String("tracedir", "", "observability output directory (default \"obs\")")
-		verbose    = flag.Bool("v", false, "structured telemetry on stderr")
-		httpaddr   = flag.String("httpaddr", "", "serve expvar, pprof, /metrics and /debug/sweep on this address during the run")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace (and FILE.spans.jsonl) of the run's spans to FILE")
-		refsched   = flag.Bool("refsched", false, "use the reference per-cycle scan scheduler instead of the event-driven one")
-		ledgerDir  = flag.String("ledger", "", "append a selection record to the persistent ledger in this directory")
-		ledgerRev  = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
 	resolveSample := core.SampleFlags()
+	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	sample, err := resolveSample()
 	if err != nil {
@@ -55,17 +49,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgselect: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
 		os.Exit(2)
 	}
-	if *refsched {
-		pipeline.SetDefaultScheduler(pipeline.SchedScan)
-	}
-	if *ledgerDir != "" {
-		led, err := ledger.Open(*ledgerDir, *ledgerRev)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", err)
-			os.Exit(1)
-		}
-		defer led.Close()
-		core.SetLedger(led)
+	drv, err := resolveDriver()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
+		os.Exit(1)
 	}
 	if *wName == "" {
 		fmt.Fprintln(os.Stderr, "mgselect: -workload required")
@@ -76,59 +63,20 @@ func main() {
 		// fan out internally; bound the process like core.Options.Workers.
 		runtime.GOMAXPROCS(*workers)
 	}
-	if *verbose {
-		core.SetTelemetry(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	}
-	if *httpaddr != "" {
-		core.PublishExpvars()
-		core.EnableMetrics()
-		addr, err := obs.ServeDebug(*httpaddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars /debug/pprof/ /metrics /debug/sweep\n", addr)
-		metrics.StartHealth(0)
-	}
-	var tracer *metrics.Tracer
-	if *traceOut != "" {
-		core.EnableMetrics()
-		tracer = metrics.NewTracer()
-		metrics.InstallTracer(tracer)
-		metrics.SetTraceOut(*traceOut)
-		metrics.SetCPUAccounting(true)
-	}
 
-	var sel *selector.Selector
-	switch *selName {
-	case "Struct-All":
-		sel = selector.StructAll()
-	case "Struct-None":
-		sel = selector.StructNone()
-	case "Struct-Bounded":
-		sel = selector.StructBounded()
-	case "Slack-Profile":
-		sel = selector.SlackProfile()
-	case "Slack-Profile-Delay":
-		sel = selector.SlackProfileDelay()
-	case "Slack-Profile-SIAL":
-		sel = selector.SlackProfileSIAL()
-	case "Slack-Dynamic":
-		sel = selector.SlackDynamic()
-	default:
-		fmt.Fprintf(os.Stderr, "mgselect: unknown selector %q\n", *selName)
+	sel, err := selector.ByName(*selName)
+	if err == nil && sel == nil {
+		err = fmt.Errorf("-selector %q selects nothing; name a policy", *selName)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(2)
 	}
 	// cfg is the profiling machine for slack-based policies and, with
 	// -sample-*, the machine the sampled quality estimate runs on.
-	var cfg pipeline.Config
-	switch *cfgName {
-	case "baseline":
-		cfg = pipeline.Baseline()
-	case "reduced":
-		cfg = pipeline.Reduced()
-	default:
-		fmt.Fprintf(os.Stderr, "mgselect: unknown config %q\n", *cfgName)
+	cfg, err := pipeline.ConfigByName(*cfgName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(2)
 	}
 
@@ -192,14 +140,6 @@ func main() {
 		}
 	}
 	runSpan.End()
-	if tracer != nil {
-		jsonl, terr := metrics.WriteTraceFiles(*traceOut, tracer)
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", terr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %s (Chrome/Perfetto), %s (JSONL)\n", *traceOut, jsonl)
-	}
 	if led := core.RunLedger(); led != nil {
 		// Selection-only record: Cycles stays 0, so history queries list it
 		// but the compare gate never treats it as a timing point. With
@@ -223,6 +163,10 @@ func main() {
 		if aerr := led.Append(rec); aerr != nil {
 			fmt.Fprintln(os.Stderr, "mgselect: ledger:", aerr)
 		}
+	}
+	if err := drv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("workload=%s selector=%s candidates=%d\n", *wName, sel.Name(), len(bench.Cands))
 	fmt.Printf("selected: %d instances, %d templates, %.1f%% dynamic coverage\n",

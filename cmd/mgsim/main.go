@@ -13,7 +13,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 	"time"
@@ -28,46 +27,6 @@ import (
 	"repro/internal/workload"
 )
 
-func configByName(name string) (pipeline.Config, error) {
-	switch name {
-	case "baseline", "full", "4way":
-		return pipeline.Baseline(), nil
-	case "reduced", "3way":
-		return pipeline.Reduced(), nil
-	case "2way":
-		return pipeline.Width2(), nil
-	case "8way":
-		return pipeline.Width8(), nil
-	case "dmem4":
-		return pipeline.SmallDMem(), nil
-	}
-	return pipeline.Config{}, fmt.Errorf("unknown config %q (baseline, reduced, 2way, 8way, dmem4)", name)
-}
-
-func selectorByName(name string) (*selector.Selector, error) {
-	switch name {
-	case "none", "":
-		return nil, nil
-	case "Struct-All":
-		return selector.StructAll(), nil
-	case "Struct-None":
-		return selector.StructNone(), nil
-	case "Struct-Bounded":
-		return selector.StructBounded(), nil
-	case "Slack-Profile":
-		return selector.SlackProfile(), nil
-	case "Slack-Profile-Delay":
-		return selector.SlackProfileDelay(), nil
-	case "Slack-Profile-SIAL":
-		return selector.SlackProfileSIAL(), nil
-	case "Slack-Dynamic":
-		return selector.SlackDynamic(), nil
-	case "Ideal-Slack-Dynamic":
-		return selector.IdealSlackDynamic(), nil
-	}
-	return nil, fmt.Errorf("unknown selector %q", name)
-}
-
 func main() {
 	var (
 		wName     = flag.String("workload", "", "workload name (see -list)")
@@ -75,18 +34,13 @@ func main() {
 		cfgName   = flag.String("config", "baseline", "machine: baseline, reduced, 2way, 8way, dmem4")
 		selName   = flag.String("selector", "none", "selection policy (or none)")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		verbose   = flag.Bool("v", false, "print the mini-graph selection and structured telemetry")
 		pipetrace = flag.Bool("pipetrace", false, "write a per-uop pipetrace JSONL of the run")
 		ptraceBin = flag.Bool("pipetrace-bin", false, "write the pipetrace in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
 		intervals = flag.Int64("intervals", 0, "sample interval metrics every N cycles (0 = off)")
 		tracedir  = flag.String("tracedir", "", "observability output directory (default \"obs\")")
-		httpaddr  = flag.String("httpaddr", "", "serve expvar, pprof, /metrics and /debug/sweep on this address during the run")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace (and FILE.spans.jsonl) of the run's spans to FILE")
-		refsched  = flag.Bool("refsched", false, "use the reference per-cycle scan scheduler instead of the event-driven one")
-		ledgerDir = flag.String("ledger", "", "append a run record to the persistent ledger in this directory")
-		ledgerRev = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
 	resolveSample := core.SampleFlags()
+	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	runStart := time.Now()
 	sample, err := resolveSample()
@@ -102,17 +56,10 @@ func main() {
 		// One workload, independent windows: let them fill the machine.
 		sample.Workers = runtime.GOMAXPROCS(0)
 	}
-	if *refsched {
-		pipeline.SetDefaultScheduler(pipeline.SchedScan)
-	}
-	if *ledgerDir != "" {
-		led, err := ledger.Open(*ledgerDir, *ledgerRev)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgsim:", err)
-			os.Exit(1)
-		}
-		defer led.Close()
-		core.SetLedger(led)
+	drv, err := resolveDriver()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgsim:", err)
+		os.Exit(1)
 	}
 
 	if *list {
@@ -125,37 +72,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgsim: -workload required (use -list to see names)")
 		os.Exit(2)
 	}
-	cfg, err := configByName(*cfgName)
+	cfg, err := pipeline.ConfigByName(*cfgName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(2)
 	}
-	sel, err := selectorByName(*selName)
+	sel, err := selector.ByName(*selName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(2)
-	}
-	if *verbose {
-		core.SetTelemetry(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	}
-	if *httpaddr != "" {
-		core.PublishExpvars()
-		core.EnableMetrics()
-		addr, err := obs.ServeDebug(*httpaddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars /debug/pprof/ /metrics /debug/sweep\n", addr)
-		metrics.StartHealth(0)
-	}
-	var tracer *metrics.Tracer
-	if *traceOut != "" {
-		core.EnableMetrics()
-		tracer = metrics.NewTracer()
-		metrics.InstallTracer(tracer)
-		metrics.SetTraceOut(*traceOut)
-		metrics.SetCPUAccounting(true)
 	}
 
 	ctx, runSpan := metrics.StartSpan(context.Background(), "mgsim.run",
@@ -210,7 +135,7 @@ func main() {
 		_, sesp := metrics.StartSpan(ctx, "select", metrics.L("policy", sel.Name()))
 		chosen := bench.Select(sel, prof)
 		sesp.End()
-		if *verbose {
+		if drv.Verbose {
 			fmt.Printf("selection coverage (static estimate): %.1f%%\n", 100*chosen.Coverage())
 		}
 		_, ssp := metrics.StartSpan(ctx, "simulate",
@@ -228,20 +153,14 @@ func main() {
 		ssp.End()
 	}
 	runSpan.End()
-	if tracer != nil {
-		if jsonl, terr := metrics.WriteTraceFiles(*traceOut, tracer); terr != nil {
-			fmt.Fprintln(os.Stderr, "mgsim:", terr)
-			os.Exit(1)
-		} else {
-			fmt.Fprintf(os.Stderr, "trace: %s (Chrome/Perfetto), %s (JSONL)\n", *traceOut, jsonl)
-		}
-	}
 	if watch != nil {
 		if cerr := watch.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
 	if err != nil {
+		// Keep the failed run's spans; the run error is the one to report.
+		_ = drv.Close()
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(1)
 	}
@@ -267,6 +186,10 @@ func main() {
 		if aerr := led.Append(rec); aerr != nil {
 			fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
 		}
+	}
+	if err := drv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "mgsim:", err)
+		os.Exit(1)
 	}
 	if watch != nil {
 		fmt.Fprintf(os.Stderr, "observability files: %v\n", watch.Files())

@@ -1,22 +1,10 @@
 package main
 
 import (
-	"fmt"
 	"os"
 
 	"repro/internal/critpath"
-	"repro/internal/pipeline"
 )
-
-// configByName resolves the machine configuration the trace was produced
-// under, so the walk gets the right front-end depth and width.
-func configByName(name string) (pipeline.Config, error) {
-	cfg, ok := pipeline.ConfigByName(name)
-	if !ok {
-		return pipeline.Config{}, fmt.Errorf("unknown machine configuration %q (want baseline, reduced, width2, width8, or dmem4)", name)
-	}
-	return cfg, nil
-}
 
 // exportCritpath writes the optional JSON and CSV artifacts.
 func exportCritpath(rep *critpath.Report, jsonPath, csvPath string) error {

@@ -9,23 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
+	"repro/internal/pipeline"
 )
-
-func TestConfigByName(t *testing.T) {
-	for _, name := range []string{"baseline", "baseline-4way", "reduced", "reduced-3way",
-		"width2", "cross-2way", "width8", "cross-8way", "dmem4", "cross-dmem4"} {
-		cfg, err := configByName(name)
-		if err != nil {
-			t.Errorf("configByName(%q): %v", name, err)
-		}
-		if p := critpath.ParamsFor(cfg); p.Width <= 0 || p.FetchToRename <= 0 {
-			t.Errorf("configByName(%q): degenerate params %+v", name, p)
-		}
-	}
-	if _, err := configByName("nope"); err == nil {
-		t.Error("unknown configuration accepted")
-	}
-}
 
 // The committed tiny trace (testdata/tiny.pipetrace.jsonl) is the CI smoke
 // input: a 3-op handle with 2 cycles of induced serialization fed by two
@@ -36,7 +21,7 @@ func TestCritpathTinyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := configByName("reduced")
+	cfg, err := pipeline.ConfigByName("reduced")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +60,7 @@ func TestCritpathExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := configByName("reduced")
+	cfg, _ := pipeline.ConfigByName("reduced")
 	rep, err := critpath.Analyze(uops, events, critpath.ParamsFor(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +102,7 @@ func TestCritpathExports(t *testing.T) {
 // error and report a nonzero span.
 func TestCritpathChain3(t *testing.T) {
 	uops, events := chain3Trace(t)
-	cfg, _ := configByName("reduced")
+	cfg, _ := pipeline.ConfigByName("reduced")
 	rep, err := critpath.Analyze(uops, events, critpath.ParamsFor(cfg))
 	if err != nil {
 		t.Fatal(err)

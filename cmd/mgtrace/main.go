@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/critpath"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 func main() {
@@ -137,7 +138,9 @@ func main() {
 		if *rangeStr != "" {
 			fail(fmt.Errorf("-critpath takes -window (commit cycles), not -range: record ordinals don't bound an attribution"))
 		}
-		cfg, err := configByName(*cfgName)
+		// The machine the trace was produced under gives the walk its
+		// front-end depth and width.
+		cfg, err := pipeline.ConfigByName(*cfgName)
 		if err != nil {
 			fail(err)
 		}

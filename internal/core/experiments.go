@@ -18,7 +18,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/selector"
 	"repro/internal/simcache"
-	"repro/internal/slack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -37,10 +36,6 @@ type Options struct {
 	Workers int
 	// Progress receives one line per completed workload when non-nil.
 	Progress io.Writer
-	// NoCache bypasses the process-wide simulation caches: every workload
-	// is re-prepared and every series re-simulated from scratch (the
-	// timing-accuracy debugging path).
-	NoCache bool
 	// Obs enables per-series-point observability outputs (pipetrace and
 	// interval files under Obs.Dir). Observed series runs bypass the
 	// result cache — the trace is a side effect a cache hit would swallow
@@ -144,7 +139,7 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	sweepSeries.sweeps.Inc()
 	if l := tlog(); l != nil {
 		l.Info("sweep.start", "title", title, "input", opts.input(),
-			"workers", opts.workers(), "nocache", opts.NoCache, "observed", opts.Obs.Active())
+			"workers", opts.workers(), "nocache", benchCache.Disabled(), "observed", opts.Obs.Active())
 	}
 	res := &SweepResult{
 		Perf:     &stats.Report{Title: title},
@@ -161,7 +156,7 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 
 	ws := opts.workloads()
 	// Live-progress tracking for /debug/sweep: one entry per (workload,
-	// series) task, in the same order both execution paths schedule them.
+	// series) task, in task order.
 	refs := make([][2]string, 0, len(ws)*len(specs))
 	for _, w := range ws {
 		for _, sp := range specs {
@@ -173,18 +168,6 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	if opts.Watchdog != nil {
 		wd := StartWatchdog(track, title, *opts.Watchdog)
 		defer wd.Stop()
-	}
-
-	if opts.NoCache {
-		meta, err := runSweepUncached(ctx, title, opts, ws, specs, perfSeries, covSeries, track)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeSweepManifest(title, opts, started, meta); err != nil {
-			return nil, err
-		}
-		sweepFinishLog(title, started, len(ws)*len(specs))
-		return res, nil
 	}
 
 	type task struct{ wi, si int }
@@ -280,7 +263,10 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	if err := writeSweepManifest(title, opts, started, meta); err != nil {
 		return nil, err
 	}
-	sweepFinishLog(title, started, len(tasks))
+	if l := tlog(); l != nil {
+		l.Info("sweep.finish", "title", title, "tasks", len(tasks),
+			"wall_ms", float64(time.Since(started))/float64(time.Millisecond))
+	}
 	return res, nil
 }
 
@@ -319,7 +305,7 @@ func writeSweepManifest(title string, opts Options, started time.Time, tasks []o
 			"pipetrace-bin": fmt.Sprint(opts.Obs.PipetraceBin),
 			"intervals":     fmt.Sprint(opts.Obs.IntervalEvery),
 			"index-every":   fmt.Sprint(opts.Obs.IndexEvery),
-			"nocache":       fmt.Sprint(opts.NoCache),
+			"nocache":       fmt.Sprint(benchCache.Disabled()),
 			"sample":        sampleFlag(opts.Sample),
 		},
 		Spans: metrics.TraceOut(),
@@ -335,14 +321,6 @@ func sampleFlag(s *pipeline.SampleSpec) string {
 		return "off"
 	}
 	return s.Summary()
-}
-
-// sweepFinishLog emits the sweep.finish telemetry event.
-func sweepFinishLog(title string, started time.Time, tasks int) {
-	if l := tlog(); l != nil {
-		l.Info("sweep.finish", "title", title, "tasks", tasks,
-			"wall_ms", float64(time.Since(started))/float64(time.Millisecond))
-	}
 }
 
 // profCfgOf resolves a spec's profiling configuration (self-trained on the
@@ -434,216 +412,6 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 		return nil, watch.Files(), watch.IndexInfo(), err
 	}
 	return st, watch.Files(), watch.IndexInfo(), nil
-}
-
-// runSweepUncached is the -nocache path: per-workload goroutines, fresh
-// preparation and simulation for every series, nothing shared across
-// sweeps. It exists so timing-accuracy investigations can rule the caches
-// out, and as the reference the cached path is tested against. Returns
-// one manifest entry per (workload, spec), in task order.
-func runSweepUncached(ctx context.Context, title string, opts Options, ws []*workload.Workload, specs []SeriesSpec, perfSeries, covSeries []*stats.Series, track *metrics.SweepProgress) ([]obs.ManifestTask, error) {
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	workers := opts.workers()
-	if workers > len(ws) {
-		workers = len(ws)
-	}
-	meta := make([]obs.ManifestTask, len(ws)*len(specs))
-	sem := make(chan struct{}, workers)
-	for wi, w := range ws {
-		wg.Add(1)
-		go func(wi int, w *workload.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			vals, covs, tasks, err := evalWorkloadUncached(ctx, title, w, wi, opts, specs, track)
-			copy(meta[wi*len(specs):], tasks)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", w.Name, err)
-				}
-				return
-			}
-			for i := range specs {
-				perfSeries[i].Add(w.Name, vals[i])
-				covSeries[i].Add(w.Name, covs[i])
-			}
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "done %s\n", w.Name)
-			}
-		}(wi, w)
-	}
-	wg.Wait()
-	return meta, firstErr
-}
-
-// evalWorkloadUncached runs all specs for one workload from scratch and
-// returns relative performance, coverage, and a manifest entry per spec.
-// wi labels this workload's goroutine in telemetry (the uncached path has
-// no shared worker pool).
-func evalWorkloadUncached(ctx context.Context, title string, w *workload.Workload, wi int, opts Options, specs []SeriesSpec, track *metrics.SweepProgress) ([]float64, []float64, []obs.ManifestTask, error) {
-	// Each workload goroutine is one trace thread (tid wi+1) within the
-	// sweep; its tasks occupy the progress slots [wi*len(specs), ...).
-	// Pinned to its OS thread so per-task RUSAGE_THREAD deltas are exact.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	ctx = metrics.WithTid(ctx, wi+1)
-	_, psp := metrics.StartSpan(ctx, "prepare",
-		metrics.L("workload", w.Name), metrics.L("input", opts.input()))
-	bench, err := Prepare(w, opts.input())
-	psp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	_, bsp := metrics.StartSpan(ctx, "simulate",
-		metrics.L("workload", w.Name), metrics.L("config", pipeline.Baseline().Name))
-	var baseStats *pipeline.Stats
-	if opts.Sample != nil {
-		baseStats, err = bench.RunSampled(pipeline.Baseline(), nil, nil, *opts.Sample)
-	} else {
-		baseStats, err = bench.RunSingleton(pipeline.Baseline())
-	}
-	bsp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	base := baseStats.Cycles
-
-	// Benches for cross-input profiling are prepared lazily and shared.
-	crossBenches := map[string]*Bench{}
-
-	vals := make([]float64, len(specs))
-	covs := make([]float64, len(specs))
-	meta := make([]obs.ManifestTask, len(specs))
-	for i, sp := range specs {
-		if l := tlog(); l != nil {
-			l.Info("task.start", "workload", w.Name, "series", sp.Label, "worker", wi)
-		}
-		track.TaskRunning(wi*len(specs)+i, wi)
-		t0 := time.Now()
-		um := metrics.MarkUsage()
-		tctx, span := metrics.StartSpan(ctx, "task",
-			metrics.L("workload", w.Name), metrics.L("series", sp.Label),
-			metrics.L("cache", cacheNone))
-		var st *pipeline.Stats
-		var files []string
-		var idx *obs.IndexInfo
-		// Label the task's goroutine so CPU profiles grabbed from
-		// /debug/pprof attribute samples to (workload, spec).
-		pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
-			st, files, idx, err = evalSpecUncached(ctx, bench, w, sp, opts, crossBenches)
-		})
-		use := um.Since()
-		if metrics.CPUAccountingOn() {
-			span.SetCPUNanos(use.CPUNanos)
-		}
-		span.End()
-		meta[i] = manifestTask(w.Name, sp.Label, wi, t0, cacheNone, files, idx, err)
-		appendTaskRecord(title, w.Name, sp.Label, opts.input(),
-			TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, opts.Sample), st, cacheNone, t0, err, opts.Sample, use)
-		track.TaskDone(wi*len(specs)+i, cacheNone, err)
-		noteTaskMetrics(meta[i])
-		if l := tlog(); l != nil {
-			l.Info("task.finish", "workload", w.Name, "series", sp.Label,
-				"worker", wi, "wall_ms", meta[i].WallMS, "cache", cacheNone)
-		}
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		vals[i] = float64(base) / float64(st.Cycles)
-		covs[i] = st.Coverage()
-	}
-	return vals, covs, meta, nil
-}
-
-// evalSpecUncached evaluates one spec for a workload entirely from
-// scratch. Cross-input profiling benches are prepared on demand and
-// shared through crossBenches (per-workload, single goroutine — no
-// locking needed).
-func evalSpecUncached(ctx context.Context, bench *Bench, w *workload.Workload, sp SeriesSpec, opts Options, crossBenches map[string]*Bench) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	if sp.Sel == nil {
-		return runUncachedSingleton(bench, sp, opts.Obs, opts.Sample)
-	}
-	profCfg := profCfgOf(sp)
-	profBench := bench
-	if sp.ProfInput != "" && sp.ProfInput != opts.input() {
-		pb, ok := crossBenches[sp.ProfInput]
-		if !ok {
-			var err error
-			pb, err = Prepare(w, sp.ProfInput)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			crossBenches[sp.ProfInput] = pb
-		}
-		profBench = pb
-	}
-	var prof *slack.Profile
-	if sp.Sel.NeedsProfile() {
-		// Cross-input: collect the profile on the other input's bench and
-		// apply it here (static indices align — the code is identical,
-		// only the data differs).
-		_, prsp := metrics.StartSpan(ctx, "profile",
-			metrics.L("workload", w.Name), metrics.L("config", profCfg.Name))
-		p, err := profBench.Profile(profCfg)
-		prsp.End()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prof = p
-	}
-	return runUncachedSelected(bench, sp, prof, opts.Obs, opts.Sample)
-}
-
-// runUncachedSingleton runs a singleton series point fresh, observed when
-// o is active, at sampled fidelity when sample is non-nil (never both —
-// RunSweep rejects the combination).
-func runUncachedSingleton(b *Bench, sp SeriesSpec, o *obs.Options, sample *pipeline.SampleSpec) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	if sample != nil {
-		st, err := b.RunSampled(sp.Cfg, nil, nil, *sample)
-		return st, nil, nil, err
-	}
-	if !o.Active() {
-		st, err := b.RunSingleton(sp.Cfg)
-		return st, nil, nil, err
-	}
-	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := b.RunSingletonObserved(sp.Cfg, watch)
-	if cerr := watch.Close(); err == nil {
-		err = cerr
-	}
-	return st, watch.Files(), watch.IndexInfo(), err
-}
-
-// runUncachedSelected selects with sp.Sel over prof and runs fresh,
-// observed when o is active, at sampled fidelity when sample is non-nil
-// (selection is exact either way; only the timing run is estimated).
-func runUncachedSelected(b *Bench, sp SeriesSpec, prof *slack.Profile, o *obs.Options, sample *pipeline.SampleSpec) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	chosen := b.Select(sp.Sel, prof)
-	if sample != nil {
-		st, err := b.RunSampled(sp.Cfg, sp.Sel, chosen, *sample)
-		return st, nil, nil, err
-	}
-	if !o.Active() {
-		st, err := b.Run(sp.Cfg, sp.Sel, chosen)
-		return st, nil, nil, err
-	}
-	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := b.RunObserved(sp.Cfg, sp.Sel, chosen, watch)
-	if cerr := watch.Close(); err == nil {
-		err = cerr
-	}
-	return st, watch.Files(), watch.IndexInfo(), err
 }
 
 // --- Figure/table drivers ---

@@ -14,14 +14,13 @@ import (
 // obsSweep runs a tiny observed sweep (one workload, a singleton series and
 // a Slack-Dynamic series) and returns the observability files it produced,
 // keyed by name, minus the manifest (whose wall times legitimately vary).
-func obsSweep(t *testing.T, workers int, nocache bool) map[string][]byte {
+func obsSweep(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
 	opts := Options{
 		Input:     "small",
 		Workloads: []string{"comm.crc32"},
 		Workers:   workers,
-		NoCache:   nocache,
 		Obs:       &obs.Options{Dir: dir, Pipetrace: true, IntervalEvery: 500},
 	}
 	red := pipeline.Reduced()
@@ -41,12 +40,8 @@ func obsSweep(t *testing.T, workers int, nocache bool) map[string][]byte {
 		t.Fatalf("manifest has %d tasks, want 2", len(man.Tasks))
 	}
 	for _, task := range man.Tasks {
-		wantCache := cacheTraced
-		if nocache {
-			wantCache = cacheNone
-		}
-		if task.Cache != wantCache {
-			t.Errorf("task %s/%s cache outcome %q, want %q", task.Workload, task.Series, task.Cache, wantCache)
+		if task.Cache != cacheTraced {
+			t.Errorf("task %s/%s cache outcome %q, want %q", task.Workload, task.Series, task.Cache, cacheTraced)
 		}
 		if len(task.Files) != 2 {
 			t.Errorf("task %s/%s produced %d files, want pipetrace+intervals", task.Workload, task.Series, len(task.Files))
@@ -103,15 +98,14 @@ func sameFiles(t *testing.T, label string, a, b map[string][]byte) {
 }
 
 // Trace and interval outputs must be byte-identical regardless of worker
-// count and cache mode: each simulation is single-threaded deterministic,
-// and observed runs bypass the result cache so a hit can never swallow the
-// trace side effect.
+// count and cache mode (-nocache is SetCachingDisabled): each simulation is
+// single-threaded deterministic, and observed runs bypass the result cache
+// so a hit can never swallow the trace side effect.
 func TestObservedSweepDeterministic(t *testing.T) {
-	base := obsSweep(t, 1, false)
-	sameFiles(t, "workers 1 vs 4", base, obsSweep(t, 4, false))
-	sameFiles(t, "cached vs -nocache", base, obsSweep(t, 2, true))
+	base := obsSweep(t, 1)
+	sameFiles(t, "workers 1 vs 4", base, obsSweep(t, 4))
 
 	SetCachingDisabled(true)
 	defer SetCachingDisabled(false)
-	sameFiles(t, "cached vs caches disabled", base, obsSweep(t, 2, false))
+	sameFiles(t, "cached vs caches disabled", base, obsSweep(t, 2))
 }

@@ -73,7 +73,8 @@ func ResetCaches() {
 }
 
 // SetCachingDisabled bypasses all process-wide caches (the -nocache escape
-// hatch for timing-accuracy debugging).
+// hatch for timing-accuracy debugging): sweeps run the same loop, but every
+// lookup computes fresh, retains nothing and reports a miss.
 func SetCachingDisabled(d bool) {
 	benchCache.SetDisabled(d)
 	resultCache.SetDisabled(d)
@@ -146,7 +147,7 @@ func singletonStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config, sam
 	if sample != nil {
 		key = simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, cfg, sampleIdentity(*sample))
 	}
-	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
+	return resultCache.DoCtx(ctx, key, func(ctx context.Context) (*pipeline.Stats, error) {
 		_, sp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
 		defer sp.End()
@@ -229,7 +230,7 @@ func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profC
 		key = simcache.Fingerprint("eval-sampled", b.Workload.Name, b.Input,
 			identityOf(sel), profCfg, profInput, runCfg, limits, selCfg, sampleIdentity(*sample))
 	}
-	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
+	return resultCache.DoCtx(ctx, key, func(ctx context.Context) (*pipeline.Stats, error) {
 		chosen, err := deriveSelection(ctx, b, sel, profCfg, profInput, limits, selCfg)
 		if err != nil {
 			return nil, err

@@ -67,7 +67,8 @@ func TestPrepareExactlyOnceAcrossSweeps(t *testing.T) {
 }
 
 // TestCachedMatchesUncached asserts the correctness property behind the
-// whole service layer: caching changes nothing about the numbers.
+// whole service layer: caching changes nothing about the numbers (the
+// uncached sweep is what -nocache runs).
 func TestCachedMatchesUncached(t *testing.T) {
 	ResetCaches()
 	opts := smallSweepOpts()
@@ -75,9 +76,9 @@ func TestCachedMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncachedOpts := opts
-	uncachedOpts.NoCache = true
-	uncached, err := RunSweep("uncached", uncachedOpts, smallSpecs())
+	SetCachingDisabled(true)
+	defer SetCachingDisabled(false)
+	uncached, err := RunSweep("uncached", opts, smallSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,10 +14,8 @@ import (
 )
 
 // This file is the sweep-telemetry layer: structured task lifecycle
-// logging (log/slog), per-call cache-outcome attribution, expvar
-// publication for the -httpaddr debug server, the /metrics registry
-// bootstrap, and the shared cache-counter printer used by the driver
-// commands.
+// logging (log/slog), the /metrics registry bootstrap, and the shared
+// cache-counter printer used by the driver commands.
 
 // telemetry is the process-wide structured logger for task lifecycle
 // events. Nil (the default) disables telemetry entirely; drivers install
@@ -34,25 +30,11 @@ func SetTelemetry(l *slog.Logger) { telemetry.Store(l) }
 // off. Callers nil-check so disabled telemetry costs one atomic load.
 func tlog() *slog.Logger { return telemetry.Load() }
 
-// Cache outcomes reported per series point (manifest and telemetry). The
-// first three match the simcache outcome strings, so DoCtx results pass
-// through unchanged.
-const (
-	cacheHit    = simcache.Hit    // answered from a completed cache entry
-	cacheMiss   = simcache.Miss   // this call ran the simulation
-	cacheShared = simcache.Shared // joined another task's in-flight simulation
-	cacheTraced = "traced"        // observed run: bypassed the result cache
-	cacheNone   = "nocache"
-)
-
-// doNoted is Cache.DoCtx under its telemetry alias: it returns the cache
-// outcome ("hit", "miss", "shared") alongside the value, emits a cache
-// span when tracing is on, and hands the computation the span's context
-// so its own phase spans nest under the cache lookup. A disabled cache
-// reports every call as a miss.
-func doNoted[K comparable, V any](ctx context.Context, c *simcache.Cache[K, V], key K, compute func(context.Context) (V, error)) (V, string, error) {
-	return c.DoCtx(ctx, key, compute)
-}
+// cacheTraced is the cache outcome of an observed series point, which
+// bypasses the result cache. Every other task reports the simcache
+// outcome of its result lookup ("hit", "shared" or "miss"; always "miss"
+// with caching disabled).
+const cacheTraced = "traced"
 
 // FprintCacheStats prints the process-wide simulation-cache counters in
 // the one format shared by every driver command's -cachestats flag.
@@ -61,22 +43,6 @@ func FprintCacheStats(w io.Writer) {
 	fmt.Fprintf(w, "cache: benches %d entries %d hits %d misses %.1f MB; results %d entries %d hits (%d shared) %d misses\n",
 		c.Benches.Entries, c.Benches.Hits+c.Benches.Shared, c.Benches.Misses, float64(c.Benches.Bytes)/(1<<20),
 		c.Results.Entries, c.Results.Hits, c.Results.Shared, c.Results.Misses)
-}
-
-var expvarOnce sync.Once
-
-// PublishExpvars exposes the simulation-cache counters as the expvar
-// variable "simcache" (served at /debug/vars by obs.ServeDebug). Safe to
-// call more than once. Each scrape takes one consistent snapshot per
-// cache (Cache.Stats reads all counters in a single critical section),
-// so a mid-sweep scrape never observes a half-updated counter set.
-func PublishExpvars() {
-	expvarOnce.Do(func() {
-		expvar.Publish("simcache", expvar.Func(func() any {
-			snap := Caches()
-			return snap
-		}))
-	})
 }
 
 // sweepSeries holds the sweep-level metric instruments. The fields stay

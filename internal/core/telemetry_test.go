@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"sort"
 	"strings"
 	"testing"
@@ -12,16 +10,13 @@ import (
 	"repro/internal/simcache"
 )
 
-// TestExpvarScrapeMidSweep publishes the cache counters as expvar and
-// hammers the scrape path while a sweep runs (exercised under -race in CI):
-// every scrape must decode as a consistent JSON snapshot.
-func TestExpvarScrapeMidSweep(t *testing.T) {
+// TestMetricsScrapeMidSweep hammers the /metrics exposition while a sweep
+// runs (exercised under -race in CI): every scrape must parse, and every
+// mg_cache_* sample — read from Cache.Stats snapshots — must be
+// non-negative.
+func TestMetricsScrapeMidSweep(t *testing.T) {
 	ResetCaches()
-	PublishExpvars()
-	v := expvar.Get("simcache")
-	if v == nil {
-		t.Fatal("PublishExpvars did not publish simcache")
-	}
+	reg := EnableMetrics()
 
 	stop := make(chan struct{})
 	scraped := make(chan int)
@@ -34,20 +29,28 @@ func TestExpvarScrapeMidSweep(t *testing.T) {
 				return
 			default:
 			}
-			var snap CacheCounters
-			if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-				t.Errorf("mid-sweep scrape not valid JSON: %v", err)
+			var b bytes.Buffer
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Errorf("mid-sweep scrape: %v", err)
 				scraped <- n
 				return
 			}
-			if snap.Benches.Entries < 0 || snap.Results.Entries < 0 {
-				t.Errorf("nonsense snapshot: %+v", snap)
+			samples, err := metrics.ParseText(&b)
+			if err != nil {
+				t.Errorf("mid-sweep scrape not parseable: %v", err)
+				scraped <- n
+				return
+			}
+			for _, s := range samples {
+				if strings.HasPrefix(s.Name, "mg_cache_") && s.Value < 0 {
+					t.Errorf("nonsense mid-sweep sample %s = %v", s.Key(), s.Value)
+				}
 			}
 			n++
 		}
 	}()
 
-	if _, err := RunSweep("expvar-scrape", smallSweepOpts(), smallSpecs()); err != nil {
+	if _, err := RunSweep("metrics-scrape", smallSweepOpts(), smallSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

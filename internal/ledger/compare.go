@@ -92,7 +92,8 @@ func Compare(recs []Record, revA, revB string) []Delta {
 }
 
 // realWall reports whether a record's wall time measured actual
-// simulation work (not a cache hit answered in microseconds).
+// simulation work (not a cache hit answered in microseconds). "nocache" is
+// the uncached-sweep outcome older ledgers carry.
 func realWall(r Record) bool {
 	switch r.Cache {
 	case "miss", "nocache", "traced", "run", "":

@@ -44,7 +44,7 @@ func TestSweepProgress(t *testing.T) {
 	}
 
 	p.TaskRunning(1, 0)
-	p.TaskDone(1, "nocache", errors.New("boom"))
+	p.TaskDone(1, "miss", errors.New("boom"))
 	p.Finish()
 	s = p.Snapshot()
 	if s.Active || s.Done != 2 || s.Failed != 1 || s.Tasks[1].State != TaskError || s.Tasks[1].Error != "boom" {

@@ -34,8 +34,8 @@ type ManifestTask struct {
 	Worker   int     `json:"worker"`
 	WallMS   float64 `json:"wall_ms"`
 	// Cache is the simulation-cache outcome for the series point:
-	// "hit", "miss", "shared", "traced" (observed runs bypass the result
-	// cache), or "nocache".
+	// "hit", "miss", "shared", or "traced" (observed runs bypass the result
+	// cache). With caching disabled every untraced task is a "miss".
 	Cache string   `json:"cache,omitempty"`
 	Files []string `json:"files,omitempty"`
 	// Index summarizes the pipetrace seek index the task wrote, so tooling

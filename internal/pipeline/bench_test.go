@@ -76,8 +76,8 @@ func BenchmarkSimulatorMiniGraphs(b *testing.B) {
 }
 
 // BenchmarkSimulatorMiniGraphsScan measures the reference per-cycle scan
-// scheduler (-refsched) on the same configuration, so the event scheduler's
-// speedup is visible in one benchmark run.
+// scheduler (the differential tests' reference) on the same configuration,
+// so the event scheduler's speedup is visible in one benchmark run.
 func BenchmarkSimulatorMiniGraphsScan(b *testing.B) {
 	b.ReportAllocs()
 	wb, err := benchSetup(b, "media.dct8")
@@ -87,7 +87,7 @@ func BenchmarkSimulatorMiniGraphsScan(b *testing.B) {
 	cfg := Reduced()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSched(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil, nil, SchedScan); err != nil {
+		if _, err := runSched(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil, nil, SchedScan); err != nil {
 			b.Fatal(err)
 		}
 	}

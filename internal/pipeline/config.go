@@ -13,6 +13,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"repro/internal/bpred"
 	"repro/internal/cache"
 )
@@ -138,22 +140,22 @@ func Width8() Config {
 }
 
 // ConfigByName maps a machine-configuration name — a short alias or the
-// full Config.Name — to its Table 1 / Figure 9 machine. The CLIs use it to
-// recover the configuration a pipetrace was produced under.
-func ConfigByName(name string) (Config, bool) {
+// full Config.Name — to its Table 1 / Figure 9 machine. It is the one
+// name lookup behind every CLI's -config flag.
+func ConfigByName(name string) (Config, error) {
 	switch name {
-	case "baseline", "baseline-4way":
-		return Baseline(), true
-	case "reduced", "reduced-3way":
-		return Reduced(), true
-	case "width2", "cross-2way":
-		return Width2(), true
-	case "width8", "cross-8way":
-		return Width8(), true
+	case "baseline", "baseline-4way", "full", "4way":
+		return Baseline(), nil
+	case "reduced", "reduced-3way", "3way":
+		return Reduced(), nil
+	case "width2", "cross-2way", "2way":
+		return Width2(), nil
+	case "width8", "cross-8way", "8way":
+		return Width8(), nil
 	case "dmem4", "cross-dmem4":
-		return SmallDMem(), true
+		return SmallDMem(), nil
 	}
-	return Config{}, false
+	return Config{}, fmt.Errorf("unknown machine configuration %q (want baseline, reduced, width2, width8, or dmem4)", name)
 }
 
 // SmallDMem is the reduced machine with a quarter-size data memory system

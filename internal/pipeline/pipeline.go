@@ -221,7 +221,7 @@ var noRecycle bool
 // slack profile into it (profiling runs should be singleton runs, matching
 // the paper's use of non-mini-graph profiles).
 func Run(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator) (*Stats, error) {
-	return RunSched(p, tr, cfg, mg, prof, nil, DefaultScheduler())
+	return runSched(p, tr, cfg, mg, prof, nil, defaultSched)
 }
 
 // RunObserved is Run with an attached observer collecting pipetrace
@@ -229,13 +229,13 @@ func Run(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Acc
 // observer makes it exactly Run: the hot loop pays one nil check per
 // cycle and per committed uop.
 func RunObserved(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer) (*Stats, error) {
-	return RunSched(p, tr, cfg, mg, prof, watch, DefaultScheduler())
+	return runSched(p, tr, cfg, mg, prof, watch, defaultSched)
 }
 
-// RunSched is RunObserved with an explicit scheduler choice, bypassing the
+// runSched is RunObserved with an explicit scheduler choice, bypassing the
 // process-wide default. The differential tests use it to run both
 // schedulers side by side; results are byte-identical either way.
-func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*Stats, error) {
+func runSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*Stats, error) {
 	return runSchedWarm(p, tr, cfg, mg, prof, watch, sched, nil, 0, nil)
 }
 
@@ -248,7 +248,7 @@ type prerollSnap struct {
 	handles, embedded, mispredicts, replay int64
 }
 
-// runSchedWarm is RunSched with an optional functional warm-up segment:
+// runSchedWarm is runSched with an optional functional warm-up segment:
 // before the first simulated cycle, warm is replayed into the caches,
 // predictors and store sets (no timing effects, stats cleared afterwards).
 // Representative sampling uses it to start measured windows hot. If

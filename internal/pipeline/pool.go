@@ -14,7 +14,7 @@ import (
 // simulation run leaves all of it allocated at steady-state size. Pooling
 // finished machines per Config and resetting them in place makes repeated
 // runs (sweeps, sampled windows, benchmarks) allocation-free after the
-// first: RunSched draws from the pool, simulates, copies the stats out and
+// first: runSched draws from the pool, simulates, copies the stats out and
 // returns the machine.
 //
 // Correctness does not ride on which pooled machine a run gets: no

@@ -44,7 +44,7 @@ func TestMachineReuseDeterministic(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				var buf bytes.Buffer
 				watch := &obs.Observer{Trace: obs.NewPipetrace(&buf)}
-				st, err := RunSched(p, res.Trace, Reduced(), MGConfig{Selection: sel}, nil, watch, k)
+				st, err := runSched(p, res.Trace, Reduced(), MGConfig{Selection: sel}, nil, watch, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -420,7 +420,7 @@ type repWindow struct {
 // functionally warmed with tr[:preStart), measuring only past the pre-roll.
 func runWarmWindow(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, w repWindow) windowResult {
 	var snap prerollSnap
-	st, err := runSchedWarm(p, tr[w.preStart:w.end], cfg, mg, nil, nil, DefaultScheduler(),
+	st, err := runSchedWarm(p, tr[w.preStart:w.end], cfg, mg, nil, nil, defaultSched,
 		tr[:w.preStart], int64(w.start-w.preStart), &snap)
 	if err != nil {
 		return windowResult{err: err}

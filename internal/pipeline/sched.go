@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -15,8 +14,8 @@ import (
 // ready-queue that producers populate on wakeup broadcast, and the main
 // loop jumps over cycles in which no pipeline stage can make progress.
 // SchedScan is the original per-cycle implementation — tick every cycle,
-// rescan the whole issue queue — kept as the differential oracle behind
-// the CLIs' -refsched flag.
+// rescan the whole issue queue — kept as the reference the differential
+// tests (TestSchedulerDifferential*) compare the event scheduler against.
 type SchedKind uint8
 
 const (
@@ -34,16 +33,11 @@ func (k SchedKind) String() string {
 	return "event"
 }
 
-// defaultSched is the scheduler Run and RunObserved use. Atomic so that a
-// CLI flipping it at startup never races concurrent simulations.
-var defaultSched atomic.Uint32
-
-// SetDefaultScheduler selects the scheduler used by Run and RunObserved.
-// Intended for CLI startup (-refsched); set it before starting runs.
-func SetDefaultScheduler(k SchedKind) { defaultSched.Store(uint32(k)) }
-
-// DefaultScheduler returns the scheduler Run and RunObserved will use.
-func DefaultScheduler() SchedKind { return SchedKind(defaultSched.Load()) }
+// defaultSched is the scheduler Run, RunObserved and the sampling paths
+// use. Only TestSampledDifferential changes it, so the sampled estimators
+// can run under the scan reference; it is not safe to change while
+// simulations run.
+var defaultSched = SchedEvent
 
 // --- issue bandwidth bookkeeping (shared by both schedulers) ---
 

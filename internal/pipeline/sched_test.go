@@ -24,7 +24,7 @@ func schedRun(t *testing.T, k SchedKind, p *prog.Program, tr []emu.Rec, cfg Conf
 		mk = obs.NewBinaryPipetrace
 	}
 	watch := &obs.Observer{Trace: mk(&buf), Intervals: obs.NewIntervalSampler(250)}
-	st, err := RunSched(p, tr, cfg, mg, nil, watch, k)
+	st, err := runSched(p, tr, cfg, mg, nil, watch, k)
 	if err != nil {
 		t.Fatalf("%v scheduler: %v", k, err)
 	}
@@ -87,7 +87,7 @@ func firstDiff(a, b []byte) int {
 
 // TestSchedulerDifferential is the event-scheduler oracle: every workload
 // in the small input set runs under both the event-driven scheduler and the
-// reference scan scheduler (-refsched), across the singleton, mini-graph
+// reference scan scheduler, across the singleton, mini-graph
 // and Slack-Dynamic configurations, and must produce identical Stats,
 // byte-identical pipetraces and identical interval samples.
 func TestSchedulerDifferential(t *testing.T) {
@@ -148,7 +148,7 @@ func TestSchedulerDifferentialProfiled(t *testing.T) {
 
 	run := func(k SchedKind) (*Stats, *slack.Accumulator) {
 		acc := slack.NewAccumulator(w.Name, p.NumInstrs())
-		st, err := RunSched(p, res.Trace, Reduced(), MGConfig{}, acc, nil, k)
+		st, err := runSched(p, res.Trace, Reduced(), MGConfig{}, acc, nil, k)
 		if err != nil {
 			t.Fatalf("%v scheduler: %v", k, err)
 		}
@@ -177,8 +177,8 @@ func TestSchedulerDifferentialProfiled(t *testing.T) {
 // TestSampledDifferential runs the periodic-sampling estimator under both
 // schedulers and requires identical estimates; it also pins the estimate
 // across worker counts, which exercises concurrent machine pooling (each
-// window draws a machine from the pool). SetDefaultScheduler is
-// process-global, so this test must not run in parallel.
+// window draws a machine from the pool). defaultSched is package-global,
+// so this test must not run in parallel.
 func TestSampledDifferential(t *testing.T) {
 	w := workload.Find("comm.crc32")
 	if w == nil {
@@ -206,8 +206,8 @@ func TestSampledDifferential(t *testing.T) {
 	}
 
 	run := func(k SchedKind, workers int) (*Stats, float64) {
-		SetDefaultScheduler(k)
-		defer SetDefaultScheduler(SchedEvent)
+		defaultSched = k
+		defer func() { defaultSched = SchedEvent }()
 		spec := spec
 		spec.Workers = workers
 		st, rate, err := RunSampled(p, res.Trace, Reduced(), MGConfig{Selection: sel}, spec)
@@ -225,20 +225,5 @@ func TestSampledDifferential(t *testing.T) {
 	stP, rateP := run(SchedEvent, 4)
 	if *stP != *stE || rateP != rateE {
 		t.Errorf("sampled estimate changes with worker count:\nserial   %+v\nparallel %+v", stE, stP)
-	}
-}
-
-// TestSchedulerDefaultToggle exercises the CLI-facing switch.
-func TestSchedulerDefaultToggle(t *testing.T) {
-	if got := DefaultScheduler(); got != SchedEvent {
-		t.Fatalf("default scheduler = %v, want %v", got, SchedEvent)
-	}
-	SetDefaultScheduler(SchedScan)
-	if got := DefaultScheduler(); got != SchedScan {
-		t.Errorf("after SetDefaultScheduler(SchedScan): %v", got)
-	}
-	SetDefaultScheduler(SchedEvent)
-	if SchedEvent.String() != "event" || SchedScan.String() != "scan" {
-		t.Errorf("String(): %q/%q", SchedEvent.String(), SchedScan.String())
 	}
 }

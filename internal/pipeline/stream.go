@@ -171,7 +171,7 @@ func runStreamRep(p *prog.Program, cfg Config, mg MGConfig, spec SampleSpec) (*S
 // then the detailed slice [preStart, end) is collected and simulated with the
 // usual pre-roll snapshot. Equivalent to runWarmWindow on the full trace.
 func replayRepWindow(p *prog.Program, cfg Config, mg MGConfig, w repWindow, chunk int) windowResult {
-	m, maxCycles, err := setupMachine(p, cfg, mg, nil, nil, DefaultScheduler())
+	m, maxCycles, err := setupMachine(p, cfg, mg, nil, nil, defaultSched)
 	if err != nil {
 		return windowResult{err: err}
 	}

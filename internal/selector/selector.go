@@ -18,6 +18,7 @@
 package selector
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/isa"
@@ -200,6 +201,28 @@ func SlackDynamicDelay() *Selector {
 // Main returns the paper's five primary selectors in presentation order.
 func Main() []*Selector {
 	return []*Selector{StructAll(), StructNone(), StructBounded(), SlackProfile(), SlackDynamic()}
+}
+
+// ByName returns the policy with the given paper name. "none" and "" name
+// singleton execution and return nil; any other unknown name is an error.
+func ByName(name string) (*Selector, error) {
+	if name == "none" || name == "" {
+		return nil, nil
+	}
+	all := []*Selector{
+		StructAll(), StructNone(), StructBounded(),
+		SlackProfile(), SlackProfileDelay(), SlackProfileSIAL(), SlackProfileMem(), SlackProfileGlobal(),
+		SlackDynamic(), SlackDynamicDelay(),
+		IdealSlackDynamic(), IdealSlackDynamicDelay(), IdealSlackDynamicSIAL(),
+	}
+	names := make([]string, len(all))
+	for i, s := range all {
+		if s.Name() == name {
+			return s, nil
+		}
+		names[i] = s.Name()
+	}
+	return nil, fmt.Errorf("unknown selector %q (want none or one of %v)", name, names)
 }
 
 // --- Slack-Profile rule evaluation ---

@@ -160,6 +160,9 @@ func TestUnprofiledCandidateHarmless(t *testing.T) {
 	}
 }
 
+// TestSelectorNamesAndProfiles pins every constructor's name and needs, and
+// that ByName resolves each name — a superset of every -selector and
+// -attribsel value a CLI accepts — back to the same policy.
 func TestSelectorNamesAndProfiles(t *testing.T) {
 	cases := []struct {
 		s       *Selector
@@ -173,6 +176,8 @@ func TestSelectorNamesAndProfiles(t *testing.T) {
 		{SlackProfile(), "Slack-Profile", true, false},
 		{SlackProfileDelay(), "Slack-Profile-Delay", true, false},
 		{SlackProfileSIAL(), "Slack-Profile-SIAL", true, false},
+		{SlackProfileMem(), "Slack-Profile-Mem", true, false},
+		{SlackProfileGlobal(), "Slack-Profile-Global", true, false},
 		{SlackDynamic(), "Slack-Dynamic", false, true},
 		{IdealSlackDynamic(), "Ideal-Slack-Dynamic", false, true},
 		{IdealSlackDynamicDelay(), "Ideal-Slack-Dynamic-Delay", false, true},
@@ -188,6 +193,22 @@ func TestSelectorNamesAndProfiles(t *testing.T) {
 		}
 		if c.s.Dyn.Dynamic != c.dynamic {
 			t.Errorf("%s Dynamic = %v", c.name, c.s.Dyn.Dynamic)
+		}
+		got, err := ByName(c.name)
+		if err != nil || got == nil {
+			t.Errorf("ByName(%q) = %v, %v", c.name, got, err)
+		} else if got.Name() != c.name || got.NeedsProfile() != c.profile || got.Dyn != c.s.Dyn {
+			t.Errorf("ByName(%q) resolved to %q (profile %v, dyn %+v)", c.name, got.Name(), got.NeedsProfile(), got.Dyn)
+		}
+	}
+	for _, name := range []string{"none", ""} {
+		if s, err := ByName(name); s != nil || err != nil {
+			t.Errorf("ByName(%q) = %v, %v; want singleton execution (nil, nil)", name, s, err)
+		}
+	}
+	for _, name := range []string{"nope", "None", "struct-all"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted an unknown policy", name)
 		}
 	}
 	if len(Main()) != 5 {

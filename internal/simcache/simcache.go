@@ -11,7 +11,7 @@ import (
 // Counters is a snapshot of a cache's activity. Snapshots are taken under
 // the cache mutex, so the fields are mutually consistent (e.g. Hits +
 // Shared + Misses counts exactly the lookups that had completed when the
-// snapshot was taken) — expvar and /metrics scrapes mid-sweep see one
+// snapshot was taken) — /metrics scrapes mid-sweep see one
 // coherent state, not a mix of before/after values.
 type Counters struct {
 	Hits    int64 // lookups answered from a completed entry
