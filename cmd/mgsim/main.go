@@ -96,7 +96,7 @@ func main() {
 
 	t0 := time.Now()
 	// Whole-process deltas, not per-thread: sampled runs fan out across
-	// GOMAXPROCS goroutines, so thread-local rusage would undercount.
+	// GOMAXPROCS goroutines, so a thread CPU clock would undercount.
 	cpu0 := metrics.ProcessCPUNanos()
 	gc0 := metrics.GCCycleCount()
 	var watch *obs.Observer

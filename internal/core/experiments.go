@@ -123,8 +123,9 @@ type SweepResult struct {
 // preparation, the fully-provisioned baseline, slack profiles, whole
 // repeated series — is deduplicated through the process-wide caches
 // (singleflight, so two tasks needing the same profile or baseline never
-// compute it twice). Series ordering in the report is deterministic
-// regardless of completion order.
+// compute it twice). Each workload's slack profiles go to the pool ahead
+// of its tasks, as jobs of their own (see profileJobs). Series ordering in
+// the report is deterministic regardless of completion order.
 func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, error) {
 	started := time.Now()
 	if opts.Sample != nil && opts.Obs.Active() {
@@ -190,19 +191,29 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 		workers = len(tasks)
 	}
 	var mu sync.Mutex // guards Progress writer
-	next := make(chan int)
+	// A job is a series task, or a slack profile some of them train on.
+	type job struct {
+		ti   int                   // index into tasks
+		prof func(context.Context) // nil for a series task
+	}
+	next := make(chan job)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			// Pin the worker to its OS thread so RUSAGE_THREAD deltas
+			// Pin the worker to its OS thread so thread CPU-clock deltas
 			// attribute each task's CPU time exactly (sweep tasks simulate
 			// single-goroutine, so nothing escapes the pinned thread).
 			runtime.LockOSThread()
 			defer runtime.UnlockOSThread()
 			wctx := metrics.WithTid(ctx, k+1) // worker k is trace tid k+1 (same pid as the sweep)
-			for ti := range next {
+			for j := range next {
+				if j.prof != nil {
+					j.prof(wctx)
+					continue
+				}
+				ti := j.ti
 				t := tasks[ti]
 				w := ws[t.wi]
 				sp := specs[t.si]
@@ -247,8 +258,18 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 			}
 		}(k)
 	}
-	for ti := range tasks {
-		next <- ti
+	ti := 0
+	for wi, w := range ws {
+		// Without caching a profile job's result would be recomputed by
+		// every task that needs it.
+		if !benchCache.Disabled() {
+			for _, prof := range profileJobs(w, opts.input(), specs) {
+				next <- job{prof: prof}
+			}
+		}
+		for ; ti < len(tasks) && tasks[ti].wi == wi; ti++ {
+			next <- job{ti: ti}
+		}
 	}
 	close(next)
 	wg.Wait()
@@ -330,6 +351,43 @@ func profCfgOf(sp SeriesSpec) pipeline.Config {
 		return *sp.ProfCfg
 	}
 	return sp.Cfg
+}
+
+// profileJobs returns one job per distinct slack profile that the series
+// of specs on workload w train on. RunSweep runs these jobs before the
+// series tasks, on the same workers and through the same caches. Without
+// them, a series task computes its profile, selection and timing run in one
+// long piece. A workload has only a few such pieces, so when the host slows
+// one worker down, the last piece it holds sets the wall time. With the
+// profiles split out, the pool can balance the work.
+func profileJobs(w *workload.Workload, input string, specs []SeriesSpec) []func(context.Context) {
+	var out []func(context.Context)
+	seen := map[simcache.Key]bool{}
+	for _, sp := range specs {
+		if sp.Sel == nil || !sp.Sel.NeedsProfile() {
+			continue
+		}
+		cfg, in := profCfgOf(sp), sp.ProfInput
+		if in == input {
+			in = ""
+		}
+		k := simcache.Fingerprint(cfg, in)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, func(ctx context.Context) {
+			ctx, span := metrics.StartSpan(ctx, "profile",
+				metrics.L("workload", w.Name), metrics.L("config", cfg.Name))
+			defer span.End()
+			// The cache keeps no failures: a task that needs this profile
+			// computes it again and reports the error.
+			if b, err := PrepareSharedCtx(ctx, w, input); err == nil {
+				_, _ = collectProfile(ctx, b, cfg, in)
+			}
+		})
+	}
+	return out
 }
 
 // specResult carries everything one evaluated series point produces:

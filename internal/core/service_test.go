@@ -115,6 +115,26 @@ func TestConcurrentSweepsShareCache(t *testing.T) {
 	}
 }
 
+// TestProfileJobsDistinct checks that a sweep schedules one profile job per
+// distinct (configuration, input) its series train on, and none for series
+// that need no profile.
+func TestProfileJobsDistinct(t *testing.T) {
+	red, w8 := pipeline.Reduced(), pipeline.Width8()
+	specs := []SeriesSpec{
+		{Label: "singleton", Cfg: red},
+		{Label: "Struct-All", Cfg: red, Sel: selector.StructAll()},
+		{Label: "self-trained", Cfg: red, Sel: selector.SlackProfile()},
+		{Label: "self-trained, input named", Cfg: red, Sel: selector.SlackProfile(), ProfInput: "small"},
+		{Label: "cross 8-way", Cfg: red, Sel: selector.SlackProfile(), ProfCfg: &w8},
+		{Label: "cross 8-way again", Cfg: red, Sel: selector.SlackProfile(), ProfCfg: &w8},
+		{Label: "cross input", Cfg: red, Sel: selector.SlackProfile(), ProfInput: "large"},
+	}
+	w := smallSweepOpts().workloads()[0]
+	if got := len(profileJobs(w, "small", specs)); got != 3 {
+		t.Errorf("%d profile jobs, want 3: reduced, 8-way, reduced on large", got)
+	}
+}
+
 func assertSweepsEqual(t *testing.T, a, b *SweepResult) {
 	t.Helper()
 	assertReportsEqual(t, "perf", a.Perf, b.Perf)

@@ -10,6 +10,9 @@
 package emu
 
 import (
+	"slices"
+	"sync"
+
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -151,12 +154,73 @@ func (m *Memory) Pages() int { return len(m.pages) }
 // state. It returns an error for runaway executions, out-of-range control
 // transfers, or falling off the end of the code. It is the one-shot form of
 // the resumable State (see state.go).
+//
+// The trace is emulated into a reused scratch buffer and returned as an
+// exact-length copy (rounded up only to the allocator's page). A trace
+// grown in place would keep its spare capacity — all of the 1 MiB
+// reservation a short trace leaves unused — pinned by every holder of
+// the Result. A trace longer than the scratch is emulated a scratchful at
+// a time, each full piece copied out, and the pieces joined at the end:
+// that touches less fresh memory than growing one buffer.
 func Run(p *prog.Program, opts Options) (*Result, error) {
-	s := NewState(p, opts)
-	if err := s.RunToEnd(); err != nil {
-		return nil, err
+	s := NewState(p, Options{MaxInstrs: opts.MaxInstrs})
+	if !opts.CollectTrace {
+		if err := s.RunToEnd(); err != nil {
+			return nil, err
+		}
+		return s.Result(), nil
 	}
-	return s.Result(), nil
+	scratch := getScratch()
+	defer putScratch(scratch)
+	s.collect = true
+	var pieces [][]Rec
+	for {
+		s.trace = scratch[:0]
+		if err := s.RunTo(s.DynInstrs() + int64(cap(scratch))); err != nil {
+			return nil, err
+		}
+		if s.Halted() {
+			break
+		}
+		pieces = append(pieces, append([]Rec(nil), s.trace...))
+	}
+	res := s.Result()
+	if pieces == nil {
+		res.Trace = append([]Rec(nil), s.trace...)
+	} else {
+		res.Trace = slices.Concat(append(pieces, s.trace)...)
+	}
+	return res, nil
+}
+
+// traceReserve is the record capacity a collecting emulation starts with
+// (1 MiB).
+const traceReserve = 1 << 16
+
+// traceScratch is Run's emulation buffer of traceReserve records. Unlike
+// a sync.Pool's, it survives garbage collection, so a run emulates into
+// memory the process already holds instead of freshly faulted pages. It
+// keeps one buffer; a concurrent run reserves its own.
+var traceScratch struct {
+	sync.Mutex
+	buf []Rec
+}
+
+func getScratch() []Rec {
+	traceScratch.Lock()
+	defer traceScratch.Unlock()
+	b := traceScratch.buf
+	traceScratch.buf = nil
+	if b == nil {
+		b = make([]Rec, 0, traceReserve)
+	}
+	return b
+}
+
+func putScratch(b []Rec) {
+	traceScratch.Lock()
+	defer traceScratch.Unlock()
+	traceScratch.buf = b[:0]
 }
 
 func b2u(b bool) uint32 {

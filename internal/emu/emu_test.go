@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -215,6 +216,51 @@ func TestTraceShape(t *testing.T) {
 	}
 	if res.DynInstrs != int64(len(want)) {
 		t.Errorf("DynInstrs = %d, want %d", res.DynInstrs, len(want))
+	}
+}
+
+// TestRunTraceExactLength: Run returns its trace as a copy of the
+// emulation buffer, with no more spare capacity than the allocator's
+// rounding to one 8 KiB page, equal to the trace a State collects in one
+// growing buffer — also when the trace is several scratchfuls long — and
+// the copy is the caller's: a later Run reuses the buffer, never the
+// returned trace.
+func TestRunTraceExactLength(t *testing.T) {
+	for _, iters := range []int64{5000, traceReserve + 1234} {
+		b := prog.NewBuilder("long")
+		b.Li(1, iters)
+		b.Label("loop")
+		b.Subi(1, 1, 1)
+		b.Bnez(1, "loop")
+		b.Halt()
+		p := b.MustBuild()
+		res := run(t, p)
+		if want := 2*int(iters) + 2; len(res.Trace) != want {
+			t.Fatalf("trace len = %d, want %d", len(res.Trace), want)
+		}
+		if spare := (cap(res.Trace) - len(res.Trace)) * int(unsafe.Sizeof(Rec{})); spare >= 8192 {
+			t.Errorf("trace carries %d bytes of spare capacity (cap %d, len %d)", spare, cap(res.Trace), len(res.Trace))
+		}
+		s := NewState(p, Options{CollectTrace: true})
+		if err := s.RunToEnd(); err != nil {
+			t.Fatal(err)
+		}
+		want := s.Result()
+		if len(want.Trace) != len(res.Trace) || want.Regs != res.Regs || want.DynInstrs != res.DynInstrs {
+			t.Fatalf("Run and State disagree: %d/%d records, %d/%d instructions",
+				len(res.Trace), len(want.Trace), res.DynInstrs, want.DynInstrs)
+		}
+		for i := range want.Trace {
+			if res.Trace[i] != want.Trace[i] {
+				t.Fatalf("trace[%d] = %+v, State collected %+v", i, res.Trace[i], want.Trace[i])
+			}
+		}
+		_ = run(t, p)
+		for i := range want.Trace {
+			if res.Trace[i] != want.Trace[i] {
+				t.Fatalf("trace[%d] changed under a later Run: %+v, was %+v", i, res.Trace[i], want.Trace[i])
+			}
+		}
 	}
 }
 

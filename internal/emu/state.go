@@ -36,7 +36,7 @@ func NewState(p *prog.Program, opts Options) *State {
 	s.mem.LoadImage(prog.DataBase, p.Data)
 	s.regs[isa.SP] = prog.StackTop
 	if s.collect {
-		s.trace = make([]Rec, 0, 1<<16)
+		s.trace = make([]Rec, 0, traceReserve)
 	}
 	return s
 }

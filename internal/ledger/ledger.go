@@ -143,12 +143,12 @@ type Record struct {
 
 	WallMS float64 `json:"wall_ms"`
 
-	// CPUMS is the task's consumed CPU time: a per-OS-thread rusage delta
+	// CPUMS is the task's consumed CPU time: a per-OS-thread CPU-clock delta
 	// measured on a pinned sweep worker (exact), or a whole-process delta
 	// for single-task drivers. Unlike wall time it is robust to host load
 	// and comparable across machines of similar class, so -gate-cpu uses it
 	// as the default cost signal. 0 = not measured (old records, or a
-	// platform without rusage).
+	// platform without a CPU clock).
 	CPUMS float64 `json:"cpu_ms,omitempty"`
 	// MaxRSSKB is the process resident-set high-water mark (KB) when the
 	// task finished; process-wide and monotone within a run.

@@ -12,13 +12,13 @@ import (
 // snapshots that attribute CPU, GC cycles and heap allocation to one task.
 // Sweep workers pin their OS thread (runtime.LockOSThread) and bracket
 // each task with MarkUsage/Since, so a task's recorded CPU is the thread's
-// rusage delta — robust to host load in a way wall time never is.
+// CPU-clock delta — robust to host load in a way wall time never is.
 
 // ThreadCPUNanos returns the CPU time (user+system) consumed by the
 // calling OS thread, in nanoseconds. Exact per-task attribution requires
 // the goroutine to be pinned with runtime.LockOSThread; an unpinned caller
-// reads whichever thread it happens to run on. On platforms without
-// per-thread rusage this falls back to process CPU time.
+// reads whichever thread it happens to run on. On platforms without a
+// per-thread CPU clock this falls back to process CPU time.
 func ThreadCPUNanos() int64 { return threadCPUNanos() }
 
 // ProcessCPUNanos returns the whole process's consumed CPU time

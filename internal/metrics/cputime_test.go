@@ -36,8 +36,12 @@ func TestThreadCPUNanos(t *testing.T) {
 }
 
 // TestMarkUsage brackets a busy, allocating region with MarkUsage/Since
-// and checks the deltas are sane.
+// and checks the deltas are sane. The goroutine is pinned to its OS
+// thread, as MarkUsage requires: unpinned, the busy loop can run on a
+// different thread than the two reads.
 func TestMarkUsage(t *testing.T) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	m := MarkUsage()
 	_ = burnCPU(50 * time.Millisecond)
 	sink := make([][]byte, 0, 64)

@@ -23,7 +23,7 @@ type SpanRecord struct {
 	Tid    int    `json:"tid"` // thread row: one per worker (0 = orchestrator)
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns"`
-	// CPUNanos is the exact CPU time the span consumed (RUSAGE_THREAD
+	// CPUNanos is the exact CPU time the span consumed (thread CPU-clock
 	// delta), captured when CPU accounting is on (SetCPUAccounting) and the
 	// goroutine stayed on one pinned OS thread; 0 = not measured.
 	CPUNanos int64   `json:"cpu_ns,omitempty"`

@@ -94,7 +94,7 @@ func BenchmarkSimulatorMiniGraphsScan(b *testing.B) {
 }
 
 // BenchmarkSimulatorProfiling measures the slack-profiling run (the most
-// instrumented configuration).
+// instrumented configuration), accumulator included.
 func BenchmarkSimulatorProfiling(b *testing.B) {
 	b.ReportAllocs()
 	wb, err := benchSetup(b, "media.dct8")
@@ -103,12 +103,16 @@ func BenchmarkSimulatorProfiling(b *testing.B) {
 	}
 	cfg := Reduced()
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
 		acc := slack.NewAccumulator("bench", wb.p.NumInstrs())
-		if _, err := Run(wb.p, wb.tr, cfg, MGConfig{}, acc); err != nil {
+		st, err := Run(wb.p, wb.tr, cfg, MGConfig{}, acc)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += st.Instrs
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkRunSampledRepresentative measures the representative-interval

@@ -91,12 +91,16 @@ type uop struct {
 	memLat int64 // load cycles beyond the L1-hit path
 	serExt bool  // issued data-bound on a serializing external input
 
-	// Profiling.
-	bbHead      *uop
+	// Profiling (see recordProfile). minConsIss and fwdConsExec collect
+	// local slack until commit; later consumers lower the record at rec.
+	// nCons counts the reads tracked as global-slack edges (capped at
+	// maxTrackedConsumers); tracked marks which of this uop's sources are.
+	bbHead      bool // first instruction of a basic-block instance
+	nCons       uint8
+	tracked     uint8
+	rec         int32 // profile record index, assigned at commit
 	minConsIss  int64
 	fwdConsExec int64
-	consumers   []*uop // register-value consumers (profiling runs only)
-	gslack      int64  // computed global slack (drain-time reverse pass)
 }
 
 // fetchItem is a prepared fetch unit awaiting its fetch cycle.
@@ -156,9 +160,15 @@ type machine struct {
 	freeRegs       int
 	lqUsed, sqUsed int
 	lastWriter     [isa.NumRegs]*uop
-	curBBHead      *uop
-	profFIFO       []*uop
 	layout         *minigraph.Layout
+
+	// Slack profiling: inBlock is false until a basic-block head renames
+	// after start or a flush; headIssue is the issue cycle of the last
+	// committed head; profRecs holds one record per committed uop, sized
+	// from the trace and kept across pooled runs (see poolableRecs).
+	inBlock   bool
+	headIssue int64
+	profRecs  []profRec
 
 	// Last computed layout, kept across pooling: layouts are immutable and
 	// depend only on (program, selection), and a pooled machine almost
@@ -169,8 +179,7 @@ type machine struct {
 	layoutC   *minigraph.Layout
 
 	// Uop recycling: committed uops queue in retired until provably
-	// unreferenced, then return to freeUops for reuse by makeUop. Disabled
-	// while profiling (the slack accumulator keeps every uop until drain).
+	// unreferenced, then return to freeUops for reuse by makeUop.
 	recycle       bool
 	freeUops      []*uop
 	retired       ring[*uop]
@@ -211,8 +220,8 @@ func (m *machine) iqLen() int {
 	return m.iqCount
 }
 
-// noRecycle disables uop recycling even in non-profiling runs; tests flip
-// it to verify recycling changes no architectural outcome.
+// noRecycle disables uop recycling; tests flip it to verify recycling
+// changes no architectural outcome.
 var noRecycle bool
 
 // Run replays the committed trace of program p on the configured machine
@@ -289,7 +298,7 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 	m.emitUops = m.flight != nil || (watch != nil && watch.Trace != nil)
 	m.sched = sched
 	m.prof = prof
-	m.recycle = prof == nil && !noRecycle
+	m.recycle = !noRecycle
 	if mg.Enabled() {
 		m.layout = mg.Layout
 		if m.layout == nil {
@@ -322,6 +331,11 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 func (m *machine) mainLoop(maxCycles int64, preroll int64, snap *prerollSnap) (*Stats, error) {
 	p := m.p
 	event := m.sched != SchedScan
+	// Every profile record stands for at least one trace record, so one
+	// trace-sized buffer holds the run's records without growing.
+	if m.prof != nil && cap(m.profRecs) < len(m.tr) {
+		m.profRecs = make([]profRec, 0, len(m.tr))
+	}
 	for {
 		if m.done() {
 			break
@@ -414,6 +428,9 @@ func (m *machine) commit() {
 		case kindOverheadJump:
 			m.stats.OverheadJumps++
 		}
+		if m.prof != nil && u.kind != kindOverheadJump {
+			m.recordProfile(u)
+		}
 		if u.writesReg {
 			m.freeRegs++ // the previous mapping of dstReg dies
 			if pw := u.prevWriter; pw != nil {
@@ -444,12 +461,7 @@ func (m *machine) commit() {
 		if m.emitUops {
 			m.observeUop(u, m.cycle, false)
 		}
-		if m.prof != nil {
-			// Retained until drain: the global-slack reverse pass needs the
-			// whole committed stream, and late consumers keep updating
-			// local slack until then.
-			m.profFIFO = append(m.profFIFO, u)
-		} else if m.recycle {
+		if m.recycle {
 			u.refBarrier = m.seq
 			m.retired.pushBack(u)
 		}
@@ -686,13 +698,7 @@ func (m *machine) execute(u *uop) {
 			continue
 		}
 		if m.prof != nil {
-			pu := h.uops[p]
-			if m.cycle < pu.minConsIss {
-				pu.minConsIss = m.cycle
-			}
-			if len(pu.consumers) < maxTrackedConsumers {
-				pu.consumers = append(pu.consumers, u)
-			}
+			m.noteConsumer(u, i, p)
 		}
 		if h.meta[p]&metaHandle != 0 {
 			m.noteConsumerOfHandle(m.cycle, h.uops[p])
@@ -1065,7 +1071,7 @@ func (m *machine) flushFrom(v *uop) {
 	if m.pendingBranch != nil && h.squashed[m.pendingBranch.slot] {
 		m.pendingBranch = nil
 	}
-	m.curBBHead = nil
+	m.inBlock = false
 
 	// Redirect fetch: refetch from the load's first trace record.
 	m.fetchIdx = v.traceIdx
@@ -1083,8 +1089,8 @@ func (m *machine) flushFrom(v *uop) {
 	// no surviving uop can hold a pointer to one (srcProd, waitStore and
 	// forwardedFrom all point at strictly older uops), and every structure
 	// that indexed them (IQ, violations, rename table, pendingBranch) was
-	// purged above. Profiling runs keep them: consumer lists reference
-	// squashed uops until drain.
+	// purged above. Profile records never name a squashed uop: they are
+	// written at commit.
 	if m.recycle {
 		m.freeUops = append(m.freeUops, m.squashScratch...)
 		m.squashScratch = m.squashScratch[:0]
@@ -1142,12 +1148,14 @@ func (m *machine) rename() {
 			}
 		}
 
-		// Basic-block head tracking for slack profiling.
+		// Basic-block head tracking for slack profiling: a uop's profile
+		// times are relative to the issue of the last head renamed before
+		// it, which is also the last head committed before it.
 		if m.prof != nil && u.kind != kindOverheadJump {
-			if m.p.Blocks[m.p.BlockOf[u.static]].Start == u.static || m.curBBHead == nil {
-				m.curBBHead = u
+			if m.p.Blocks[m.p.BlockOf[u.static]].Start == u.static || !m.inBlock {
+				u.bbHead = true
+				m.inBlock = true
 			}
-			u.bbHead = m.curBBHead
 		}
 
 		m.window.pushBack(u)
@@ -1517,63 +1525,104 @@ func (m *machine) predictOverheadJump(u *uop, it fetchItem) {
 // global-slack pass (capping can only overestimate global slack).
 const maxTrackedConsumers = 16
 
-func (m *machine) drainProfile() {
-	if m.prof == nil {
-		return
-	}
-	// Reverse pass over the committed stream: global slack of a value is
-	// the delay it tolerates without lengthening the whole execution,
-	// propagated through the dataflow graph. Consumers are younger and
-	// commit later, so a single reverse sweep sees every consumer's global
-	// slack before its producers'.
-	h := &m.hot
-	for i := len(m.profFIFO) - 1; i >= 0; i-- {
-		u := m.profFIFO[i]
-		gs := int64(slack.BigSlack)
-		if u.hasBranch && u.mispred {
-			gs = 0 // delaying a mispredicted branch delays everything
-		}
-		for _, c := range u.consumers {
-			if h.squashed[c.slot] || h.issue[c.slot] < 0 {
-				continue
-			}
-			edge := h.issue[c.slot] - h.readyOut[u.slot]
-			if edge < 0 {
-				edge = 0
-			}
-			if v := edge + c.gslack; v < gs {
-				gs = v
-			}
-		}
-		u.gslack = gs
-	}
-	for _, u := range m.profFIFO {
-		m.foldProfile(u)
-	}
-	m.profFIFO = nil
+// profRec is what a profiling run keeps of a committed uop once the uop
+// itself may be recycled: the slack fields that can still change after
+// commit, and the global-slack edges to its producers' records. Its
+// timing fields fold into the accumulator at commit (recordProfile).
+// Slacks are stored clamped to [0, slack.BigSlack], which is exact: every
+// slack the profile reports is clamped there.
+type profRec struct {
+	static   int32
+	prod     [3]int32 // record indices of the producers this uop's edges feed
+	edge     [3]uint8 // per edge: this uop's issue − the producer's ready
+	nEdge    uint8
+	regSlack uint8 // local register slack, lowered by consumers issuing after commit
+	gslack   uint8 // global slack, lowered by the drain-time reverse pass
+	foldReg  bool  // a singleton register writer: its register slacks are profiled
 }
 
-// foldProfile converts a committed uop's timing into a slack Observation.
-// Profiling runs are singleton runs, so every uop maps to one static
-// instruction.
-func (m *machine) foldProfile(u *uop) {
-	if u.kind != kindSingleton || u.bbHead == nil {
-		return
+// clampSlack clamps a cycle difference to a record's slack range.
+func clampSlack(d int64) uint8 {
+	if d <= 0 {
+		return 0
 	}
+	if d >= slack.BigSlack {
+		return slack.BigSlack
+	}
+	return uint8(d)
+}
+
+// noteConsumer records, at u's issue, its read of producer slot p through
+// source i. The read lowers p's local register slack: on the uop until p
+// commits, on p's record after (p stays live until then: a committed
+// writer parks until its successor writer, renamed after u, commits). The
+// first maxTrackedConsumers reads of p, squashed readers included, become
+// global-slack edges, written into u's record when u commits.
+func (m *machine) noteConsumer(u *uop, i int, p int32) {
+	h := &m.hot
+	pu := h.uops[p]
+	if h.committed[p] {
+		r := &m.profRecs[pu.rec]
+		if sl := clampSlack(m.cycle - h.readyOut[p]); sl < r.regSlack {
+			r.regSlack = sl
+		}
+	} else if m.cycle < pu.minConsIss {
+		pu.minConsIss = m.cycle
+	}
+	if pu.nCons < maxTrackedConsumers {
+		pu.nCons++
+		u.tracked |= 1 << i
+	}
+}
+
+// recordProfile appends committed uop u's record and folds the fields that
+// are final at commit — times relative to the basic-block head's issue,
+// execution latency, store slack (loads forward only from in-flight
+// stores) and branch slack — into the accumulator; register slacks fold
+// at drain. Only singletons are profiled (profiling runs are singleton
+// runs, as in the paper); a handle's record only carries global slack.
+func (m *machine) recordProfile(u *uop) {
 	h := &m.hot
 	s := u.slot
-	base := float64(h.issue[u.bbHead.slot])
-	in := m.p.Code[u.static]
+	if u.bbHead {
+		m.headIssue = h.issue[s]
+	}
+	u.rec = int32(len(m.profRecs))
+	r := profRec{static: int32(u.static), gslack: slack.BigSlack, foldReg: u.kind == kindSingleton && u.writesReg}
+	if u.hasBranch && u.mispred {
+		r.gslack = 0 // delaying a mispredicted branch delays everything
+	}
+	for i := 0; i < u.nSrc; i++ {
+		if u.tracked&(1<<i) != 0 {
+			p := h.srcs[s][i]
+			r.prod[r.nEdge] = h.uops[p].rec
+			r.edge[r.nEdge] = clampSlack(h.issue[s] - h.readyOut[p])
+			r.nEdge++
+		}
+	}
+	if u.writesReg {
+		r.regSlack = slack.BigSlack
+		if u.minConsIss != never {
+			r.regSlack = clampSlack(u.minConsIss - h.readyOut[s])
+		}
+	}
+	m.profRecs = append(m.profRecs, r)
+	if u.kind != kindSingleton {
+		return
+	}
 
+	base := float64(m.headIssue)
+	in := m.p.Code[u.static]
 	obs := slack.Observation{
-		Issue:       float64(h.issue[s]) - base,
-		Ready:       float64(h.readyOut[s]) - base,
-		ExecLat:     float64(h.execDone[s] - h.issue[s] - int64(m.cfg.IssueToExec)),
-		Src1Ready:   slack.NaN(),
-		Src2Ready:   slack.NaN(),
-		RegSlack:    slack.NaN(),
-		StoreSlack:  slack.NaN(),
-		BranchSlack: slack.NaN(),
+		Issue:          float64(h.issue[s]) - base,
+		Ready:          float64(h.readyOut[s]) - base,
+		ExecLat:        float64(h.execDone[s] - h.issue[s] - int64(m.cfg.IssueToExec)),
+		Src1Ready:      slack.NaN(),
+		Src2Ready:      slack.NaN(),
+		RegSlack:       slack.NaN(),
+		StoreSlack:     slack.NaN(),
+		BranchSlack:    slack.NaN(),
+		GlobalRegSlack: slack.NaN(),
 	}
 	// Map the uop's dynamic sources back to the instruction's operand slots.
 	slot := 0
@@ -1584,28 +1633,10 @@ func (m *machine) foldProfile(u *uop) {
 	if in.Rs2 != isa.NoReg && in.Rs2 != isa.ZeroReg && in.Rs2.Valid() {
 		obs.Src2Ready = float64(u.srcReadyC[slot]) - base
 	}
-	obs.GlobalRegSlack = slack.NaN()
-	if u.writesReg {
-		obs.GlobalRegSlack = math.Min(float64(u.gslack), slack.BigSlack)
-		if u.minConsIss == never {
-			obs.RegSlack = slack.BigSlack
-		} else {
-			sl := float64(u.minConsIss - h.readyOut[s])
-			if sl < 0 {
-				sl = 0
-			}
-			obs.RegSlack = math.Min(sl, slack.BigSlack)
-		}
-	}
 	if u.isStore {
-		if u.fwdConsExec == never {
-			obs.StoreSlack = slack.BigSlack
-		} else {
-			sl := float64(u.fwdConsExec - h.resolve[s])
-			if sl < 0 {
-				sl = 0
-			}
-			obs.StoreSlack = math.Min(sl, slack.BigSlack)
+		obs.StoreSlack = slack.BigSlack
+		if u.fwdConsExec != never {
+			obs.StoreSlack = float64(clampSlack(u.fwdConsExec - h.resolve[s]))
 		}
 	}
 	if u.hasBranch {
@@ -1616,6 +1647,33 @@ func (m *machine) foldProfile(u *uop) {
 		}
 	}
 	m.prof.Add(u.static, obs)
+}
+
+// drainProfile finishes a profiling run. A reverse pass over the records
+// computes global slack — the delay a value tolerates without lengthening
+// the whole execution, propagated through the dataflow graph: consumers
+// are younger and commit later, so each record's global slack is final
+// when the sweep reaches it, and it pushes edge + its slack to its
+// producers. The register slacks then fold in commit order.
+func (m *machine) drainProfile() {
+	if m.prof == nil {
+		return
+	}
+	recs := m.profRecs
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := &recs[i]
+		for k := uint8(0); k < r.nEdge; k++ {
+			if v, p := r.edge[k]+r.gslack, &recs[r.prod[k]]; v < p.gslack {
+				p.gslack = v
+			}
+		}
+	}
+	for i := range recs {
+		if r := &recs[i]; r.foldReg {
+			m.prof.AddRegSlack(int(r.static), float64(r.regSlack), float64(r.gslack))
+		}
+	}
+	m.profRecs = recs[:0]
 }
 
 // --- observability hooks (see internal/obs) ---

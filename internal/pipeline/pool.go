@@ -26,10 +26,15 @@ import (
 var machinePools sync.Map // Config -> *sync.Pool of *machine
 
 // poolableSlots bounds the slot-array size a machine may retain in the
-// pool. Recycling keeps normal runs well under the initial capacity;
-// profiling runs (no recycling) grow a slab per ~256 uops and would pin
-// megabytes, so they are simulated and dropped.
+// pool. Recycling keeps every run well under the initial capacity; a run
+// with recycling off (the noRecycle test hook) grows a slab per ~256 uops
+// and would pin megabytes, so it is simulated and dropped.
 const poolableSlots = 4096
+
+// poolableRecs bounds the slack-profile record buffer a pooled machine
+// keeps: every workload's trace fits (6 MiB of records), and a longer
+// profiling run's buffer is dropped rather than pinned in the pool.
+const poolableRecs = 1 << 18
 
 func getMachine(cfg Config) *machine {
 	if pi, ok := machinePools.Load(cfg); ok {
@@ -55,6 +60,9 @@ func putMachine(m *machine) {
 	m.flightRun = ""
 	m.emitUops = false
 	m.prof = nil
+	if cap(m.profRecs) > poolableRecs {
+		m.profRecs = nil
+	}
 	m.mon = nil
 	m.layout = nil
 	m.mgc = MGConfig{}
@@ -125,8 +133,9 @@ func (m *machine) reset() {
 	m.freeRegs = m.cfg.PhysRegs - isa.NumRegs
 	m.lqUsed, m.sqUsed = 0, 0
 	m.lastWriter = [isa.NumRegs]*uop{}
-	m.curBBHead = nil
-	m.profFIFO = nil
+	m.inBlock = false
+	m.headIssue = 0
+	m.profRecs = m.profRecs[:0]
 	m.retired.clear()
 	m.squashScratch = m.squashScratch[:0]
 

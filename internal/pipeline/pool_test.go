@@ -7,6 +7,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/minigraph"
 	"repro/internal/obs"
+	"repro/internal/slack"
 	"repro/internal/workload"
 )
 
@@ -100,3 +101,47 @@ func TestMachineReuseAcrossConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilingAllocsFlat: a warm, pooled profiling run recycles its uops
+// and writes its profile records into the machine's retained buffer, so
+// what it allocates does not grow with the trace — the whole trace costs
+// no more allocations than a quarter of it.
+func TestProfilingAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops pooled machines at random")
+	}
+	w := workload.Find("media.dct8")
+	if w == nil {
+		t.Fatal("workload media.dct8 not found")
+	}
+	p, _, _, err := w.Build("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := emu.Run(p, emu.Options{CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := slack.NewAccumulator(p.Name, p.NumInstrs())
+	allocs := func(tr []emu.Rec) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(p, tr, Reduced(), MGConfig{}, acc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	full := allocs(res.Trace)
+	quarter := allocs(res.Trace[:len(res.Trace)/4])
+	t.Logf("allocs per warm profiling run: %v (whole trace), %v (quarter)", full, quarter)
+	if full > quarter {
+		t.Errorf("profiling allocations grow with the trace: %v for %d records, %v for %d",
+			full, len(res.Trace), quarter, len(res.Trace)/4)
+	}
+	if full > maxWarmProfilingAllocs {
+		t.Errorf("warm profiling run made %v allocations, want at most %d", full, maxWarmProfilingAllocs)
+	}
+}
+
+// maxWarmProfilingAllocs bounds one warm profiling run's allocations (the
+// returned Stats and per-run bookkeeping; none per uop or per record).
+const maxWarmProfilingAllocs = 8

@@ -87,7 +87,7 @@ func newHotState(capHint int) hotState {
 }
 
 // grow extends every array by n zeroed slots (chain links start empty).
-// Only non-recycling runs (profiling) grow past the initial capacity.
+// Only runs with recycling off grow past the initial capacity.
 func (h *hotState) grow(n int) {
 	base := len(h.uops)
 	h.uops = append(h.uops, make([]*uop, n)...)

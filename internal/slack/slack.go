@@ -123,11 +123,26 @@ func (p *Profile) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(&q)
 }
 
-// Load reads a profile written by Save.
+// Load reads a profile written by Save. It rejects a profile whose
+// per-instruction slices are not all as long as Count: consumers index
+// them by static instruction wherever Count says one was observed.
 func Load(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("slack: decoding profile: %w", err)
+	}
+	n := len(p.Count)
+	for _, f := range []struct {
+		name string
+		len  int
+	}{
+		{"issue", len(p.Issue)}, {"ready", len(p.Ready)}, {"srcReady", len(p.SrcReady)},
+		{"execLat", len(p.ExecLat)}, {"regSlack", len(p.RegSlack)}, {"storeSlack", len(p.StoreSlack)},
+		{"branchSlack", len(p.BranchSlack)}, {"globalRegSlack", len(p.GlobalRegSlack)},
+	} {
+		if f.len != n {
+			return nil, fmt.Errorf("slack: profile %q has %d %s entries for %d instructions", p.Name, f.len, f.name, n)
+		}
 	}
 	p.Issue = decodeNaNs(p.Issue)
 	p.Ready = decodeNaNs(p.Ready)
@@ -230,6 +245,19 @@ func (a *Accumulator) Add(i int, obs Observation) {
 		a.sums.globalSlack[i] += obs.GlobalRegSlack
 		a.sums.globalN[i]++
 	}
+}
+
+// AddRegSlack folds the register-output local and global slack of one
+// dynamic instance of static instruction i that Add counted with NaN
+// register slacks. A profiler whose register slacks settle only after the
+// rest of the observation (late consumers, a global reverse pass) calls it
+// in the same instance order as Add, which keeps every sum identical to
+// passing the slacks to Add.
+func (a *Accumulator) AddRegSlack(i int, local, global float64) {
+	a.sums.regSlack[i] += local
+	a.sums.regN[i]++
+	a.sums.globalSlack[i] += global
+	a.sums.globalN[i]++
 }
 
 // Profile finalizes the averages.

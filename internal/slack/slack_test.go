@@ -2,6 +2,7 @@ package slack
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,95 @@ func TestLoadGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewBufferString("{nope")); err == nil {
 		t.Error("garbage input should fail to load")
 	}
+}
+
+// savedProfile is a small observed profile's Save bytes.
+func savedProfile(t testing.TB) []byte {
+	a := NewAccumulator("p", 3)
+	a.Add(0, Observation{Issue: 1, Ready: 2, ExecLat: 1, Src1Ready: 0, Src2Ready: NaN(), RegSlack: 3, StoreSlack: NaN(), BranchSlack: NaN(), GlobalRegSlack: 5})
+	a.Add(2, Observation{Issue: 2, Ready: 2, ExecLat: 0, Src1Ready: 1, Src2Ready: 1, RegSlack: NaN(), StoreSlack: 4, BranchSlack: 0, GlobalRegSlack: NaN()})
+	var buf bytes.Buffer
+	if err := a.Profile().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// truncatedProfiles returns saved's bytes once per per-instruction field,
+// with that field one entry short.
+func truncatedProfiles(t testing.TB, saved []byte) map[string][]byte {
+	out := map[string][]byte{}
+	for _, field := range []string{"count", "issue", "ready", "srcReady", "execLat",
+		"regSlack", "storeSlack", "branchSlack", "globalRegSlack"} {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(saved, &m); err != nil {
+			t.Fatal(err)
+		}
+		var xs []json.RawMessage
+		if err := json.Unmarshal(m[field], &xs); err != nil {
+			t.Fatalf("%s: %v", field, err)
+		}
+		b, err := json.Marshal(xs[:len(xs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[field] = b
+		if out[field], err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestLoadRejectsTruncated: a profile whose per-instruction slices
+// disagree in length with Count is an error, not a later index panic.
+func TestLoadRejectsTruncated(t *testing.T) {
+	saved := savedProfile(t)
+	if _, err := Load(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("intact profile: %v", err)
+	}
+	for field, data := range truncatedProfiles(t, saved) {
+		if _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("profile with a short %s loaded without error", field)
+		}
+	}
+}
+
+// FuzzLoad: Load returns an error or a profile every field of which can
+// be read at every instruction Count covers, and that round-trips through
+// Save. It never panics.
+func FuzzLoad(f *testing.F) {
+	saved := savedProfile(f)
+	f.Add(saved)
+	for _, data := range truncatedProfiles(f, saved) {
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x","count":[1],"srcReady":[[1,2]]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte("{nope"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := range p.Count {
+			_ = p.Valid(i)
+			_, _ = p.RegSlackAt(i)
+			_ = p.Issue[i] + p.Ready[i] + p.SrcReady[i][0] + p.SrcReady[i][1] + p.ExecLat[i] +
+				p.RegSlack[i] + p.StoreSlack[i] + p.BranchSlack[i] + p.GlobalRegSlack[i]
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatalf("accepted profile fails to save: %v", err)
+		}
+		q, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("round trip of accepted profile fails: %v", err)
+		}
+		if len(q.Count) != len(p.Count) {
+			t.Fatal("round trip changed the instruction count")
+		}
+	})
 }
 
 // Property: averaging k identical observations yields the observation.
