@@ -110,6 +110,24 @@ func (p *Predictor) Reset() {
 	p.RASPops, p.RASWrong = 0, 0
 }
 
+// CopyFrom makes p an exact copy of src — tables, history, BTB, RAS and
+// counters — reusing p's storage when it is large enough.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	bimodal := append(p.bimodal[:0], src.bimodal...)
+	gshare := append(p.gshare[:0], src.gshare...)
+	chooser := append(p.chooser[:0], src.chooser...)
+	b, r := p.btb, p.ras
+	*p = *src
+	p.bimodal, p.gshare, p.chooser = bimodal, gshare, chooser
+	entries := append(b.entries[:0], src.btb.entries...)
+	*b = *src.btb
+	b.entries = entries
+	stack := append(r.stack[:0], src.ras.stack...)
+	*r = *src.ras
+	r.stack = stack
+	p.btb, p.ras = b, r
+}
+
 func (p *Predictor) bimodalIdx(pc uint32) uint32 {
 	return (pc >> 2) & (1<<p.cfg.BimodalBits - 1)
 }

@@ -151,6 +151,14 @@ func (c *Cache) Reset() {
 	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
 }
 
+// CopyFrom makes c an exact copy of src — configuration, lines, LRU clock
+// and counters — reusing c's line array when it is large enough.
+func (c *Cache) CopyFrom(src *Cache) {
+	lines := append(c.lines[:0], src.lines...)
+	*c = *src
+	c.lines = lines
+}
+
 // ClearStats zeroes the access counters without touching line contents, so
 // a functionally warmed cache starts a measured window with clean stats.
 func (c *Cache) ClearStats() {
@@ -202,6 +210,12 @@ func (t *TLB) Reset() { t.inner.Reset() }
 
 // ClearStats zeroes the miss counters, keeping translations resident.
 func (t *TLB) ClearStats() { t.inner.ClearStats() }
+
+// CopyFrom makes t an exact copy of src without reallocating.
+func (t *TLB) CopyFrom(src *TLB) {
+	t.inner.CopyFrom(src.inner)
+	t.MissPenalty = src.MissPenalty
+}
 
 // HierConfig sizes a full hierarchy.
 type HierConfig struct {
@@ -262,6 +276,21 @@ func (h *Hierarchy) Reset() {
 	h.DTLB.Reset()
 	h.busFree = 0
 	h.MemAccesses = 0
+}
+
+// CopyFrom makes h an exact copy of src — every level's contents and
+// counters, the bus state and the configuration — without reallocating.
+// A functionally warmed hierarchy copied into a machine's stands in for
+// replaying the same warm-up there.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.L1I.CopyFrom(src.L1I)
+	h.L1D.CopyFrom(src.L1D)
+	h.L2.CopyFrom(src.L2)
+	h.ITLB.CopyFrom(src.ITLB)
+	h.DTLB.CopyFrom(src.DTLB)
+	h.cfg = src.cfg
+	h.busFree = src.busFree
+	h.MemAccesses = src.MemAccesses
 }
 
 // ClearStats zeroes every level's access counters and the memory-access

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/minigraph"
 	"repro/internal/obs"
 	"repro/internal/prog"
 	"repro/internal/slack"
-	"repro/internal/storesets"
 )
 
 type uopKind uint8
@@ -126,10 +123,8 @@ type machine struct {
 	p   *prog.Program
 	tr  []emu.Rec
 
-	hier *cache.Hierarchy
-	bp   *bpred.Predictor
-	ss   *storesets.Predictor
-	mon  *mgMonitor
+	predictors // caches and TLBs, branch predictor, store sets
+	mon        *mgMonitor
 
 	stats Stats
 	prof  *slack.Accumulator
@@ -245,7 +240,15 @@ func RunObserved(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *s
 // process-wide default. The differential tests use it to run both
 // schedulers side by side; results are byte-identical either way.
 func runSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*Stats, error) {
-	return runSchedWarm(p, tr, cfg, mg, prof, watch, sched, nil, 0, nil)
+	if len(tr) == 0 {
+		return nil, fmt.Errorf("pipeline: empty trace")
+	}
+	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched)
+	if err != nil {
+		return nil, err
+	}
+	m.tr = tr
+	return m.mainLoop(maxCycles, 0, nil)
 }
 
 // prerollSnap is a mid-run statistics snapshot, taken the cycle the
@@ -257,29 +260,11 @@ type prerollSnap struct {
 	handles, embedded, mispredicts, replay int64
 }
 
-// runSchedWarm is runSched with an optional functional warm-up segment:
-// before the first simulated cycle, warm is replayed into the caches,
-// predictors and store sets (no timing effects, stats cleared afterwards).
-// Representative sampling uses it to start measured windows hot. If
-// preroll > 0 and snap is non-nil, *snap receives the statistics snapshot
-// taken when the committed-instruction count first reaches preroll.
-func runSchedWarm(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind, warm []emu.Rec, preroll int64, snap *prerollSnap) (*Stats, error) {
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("pipeline: empty trace")
-	}
-	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched)
-	if err != nil {
-		return nil, err
-	}
-	m.tr = tr
-	m.warmMachine(warm)
-	return m.mainLoop(maxCycles, preroll, snap)
-}
-
 // setupMachine readies a pooled machine for one run: config, program, layout,
-// observers. The caller assigns m.tr (and optionally feeds a functional
-// warm-up) before invoking mainLoop — the streaming path materializes the
-// trace slice only after the machine exists, so setup cannot take it.
+// observers. The caller assigns m.tr (and optionally warms m.predictors)
+// before invoking mainLoop — sampled windows warm through the machine's
+// layout, and the streaming path materializes the trace slice only after
+// the machine exists, so setup cannot take it.
 func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*machine, int64, error) {
 	if watch != nil && !watch.Active() {
 		watch = nil
@@ -327,7 +312,9 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 }
 
 // mainLoop runs the simulation to completion and returns the detached stats,
-// pooling the machine on success. See runSchedWarm for preroll/snap.
+// pooling the machine on success. If preroll > 0, *snap receives the
+// statistics snapshot taken when the committed-instruction count first
+// reaches preroll.
 func (m *machine) mainLoop(maxCycles int64, preroll int64, snap *prerollSnap) (*Stats, error) {
 	p := m.p
 	event := m.sched != SchedScan

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/isa"
-	"repro/internal/storesets"
 )
 
 // Machine pooling. A machine's backing state — caches, predictor tables,
@@ -70,17 +69,50 @@ func putMachine(m *machine) {
 	pi.(*sync.Pool).Put(m)
 }
 
+// Predictor sets. Representative sampling borrows a standalone predictors
+// set per run for its feature pass and its warm pass. The set depends only
+// on the three geometries below, which the Reduced, Baseline and Width8
+// machines share, so one pool serves all of them.
+type predictorsKey struct {
+	hier      cache.HierConfig
+	bpred     bpred.Config
+	storeSets int
+}
+
+var predictorPools sync.Map // predictorsKey -> *sync.Pool of *predictors
+
+func predictorsKeyOf(cfg Config) predictorsKey {
+	return predictorsKey{cfg.Hier, cfg.Bpred, cfg.StoreSetEntries}
+}
+
+// getPredictors returns a predictors set for cfg's geometry in its
+// post-New state.
+func getPredictors(cfg Config) *predictors {
+	if pi, ok := predictorPools.Load(predictorsKeyOf(cfg)); ok {
+		if ps, _ := pi.(*sync.Pool).Get().(*predictors); ps != nil {
+			return ps
+		}
+	}
+	ps := newPredictors(cfg)
+	return &ps
+}
+
+// putPredictors resets ps and returns it to the pool for cfg's geometry.
+func putPredictors(cfg Config, ps *predictors) {
+	ps.reset()
+	pi, _ := predictorPools.LoadOrStore(predictorsKeyOf(cfg), &sync.Pool{})
+	pi.(*sync.Pool).Put(ps)
+}
+
 // newMachine builds a machine with every queue sized from the config up
 // front: the structural-hazard checks in rename and fetch bound their
 // occupancy, so the hot loop never grows them. Both schedulers' structures
 // are allocated so a pooled machine can serve either.
 func newMachine(cfg Config) *machine {
 	m := &machine{
-		cfg:      cfg,
-		hier:     cache.NewHierarchy(cfg.Hier),
-		bp:       bpred.New(cfg.Bpred),
-		ss:       storesets.New(cfg.StoreSetEntries),
-		freeRegs: cfg.PhysRegs - isa.NumRegs,
+		cfg:        cfg,
+		predictors: newPredictors(cfg),
+		freeRegs:   cfg.PhysRegs - isa.NumRegs,
 
 		fetchPending:   newRing[fetchItem](8),
 		fetchQ:         newRing[*uop](cfg.FetchWidth * 9),
@@ -113,9 +145,7 @@ func newMachine(cfg Config) *machine {
 // makeUop re-initializes per slot is left stale; everything else the run
 // mutated is restored here.
 func (m *machine) reset() {
-	m.hier.Reset()
-	m.bp.Reset()
-	m.ss.Reset()
+	m.predictors.reset()
 
 	m.stats = Stats{}
 	m.cycle = 0

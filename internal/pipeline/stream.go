@@ -130,7 +130,9 @@ func resumeWindow(p *prog.Program, cfg Config, mg MGConfig, spec SampleSpec, ck 
 // machine — only the detailed window slice is ever held.
 func runStreamRep(p *prog.Program, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, SampleReport, error) {
 	s := emu.NewState(p, emu.Options{CollectTrace: true})
-	a := newFeatAccum(p, cfg, spec.Interval)
+	ps := getPredictors(cfg)
+	defer putPredictors(cfg, ps)
+	a := newFeatAccum(p, cfg, ps, spec.Interval)
 	chunk := int64(spec.Interval)
 	for !s.Halted() {
 		if err := s.RunTo(s.DynInstrs() + chunk); err != nil {
@@ -169,14 +171,15 @@ func runStreamRep(p *prog.Program, cfg Config, mg MGConfig, spec SampleSpec) (*S
 // trace: a fresh emulation feeds the warm-up records [0, preStart) one chunk
 // at a time into the machine's predictive structures (discarded once fed),
 // then the detailed slice [preStart, end) is collected and simulated with the
-// usual pre-roll snapshot. Equivalent to runWarmWindow on the full trace.
+// usual pre-roll snapshot. Re-warming every window from scratch, it is the
+// independent oracle for runRepWindows' single warm pass.
 func replayRepWindow(p *prog.Program, cfg Config, mg MGConfig, w repWindow, chunk int) windowResult {
 	m, maxCycles, err := setupMachine(p, cfg, mg, nil, nil, defaultSched)
 	if err != nil {
 		return windowResult{err: err}
 	}
 	s := emu.NewState(p, emu.Options{CollectTrace: true})
-	ws := newWarmReplay()
+	ws := newWarmReplay(&m.predictors, p, m.layout)
 	for s.DynInstrs() < int64(w.preStart) {
 		target := s.DynInstrs() + int64(chunk)
 		if target > int64(w.preStart) {
@@ -186,15 +189,13 @@ func replayRepWindow(p *prog.Program, cfg Config, mg MGConfig, w repWindow, chun
 			return windowResult{err: err}
 		}
 		for _, rec := range s.TakeTrace() {
-			m.warmRec(&ws, rec)
+			ws.add(rec)
 		}
 		if s.Halted() {
 			break
 		}
 	}
-	if w.preStart > 0 {
-		m.warmFinish()
-	}
+	m.predictors.clearStats()
 	if err := s.RunTo(int64(w.end)); err != nil {
 		return windowResult{err: err}
 	}

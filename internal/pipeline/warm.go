@@ -3,9 +3,13 @@ package pipeline
 import (
 	"math"
 
+	"repro/internal/bpred"
+	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/minigraph"
 	"repro/internal/prog"
+	"repro/internal/storesets"
 )
 
 // Functional warm-up for sampled windows (the gem5 cache-warmup idea): before
@@ -17,6 +21,51 @@ import (
 // effective address, stores as write-allocating accesses, the exact
 // predictor-update sequence of predictBranch), then clears every stat
 // counter so the measured window starts with a hot machine and clean stats.
+//
+// The state a warm-up reaches depends only on the records it replayed, so
+// one replay that walks the trace forward can stand for a from-scratch
+// replay of every prefix it passes: copying its predictors out at a
+// window's start gives that window exactly the machine a replay of the
+// window's whole prefix would have.
+
+// predictors is the predictive state a functional warm-up trains. A machine
+// embeds one; representative sampling also runs a standalone set (pooled by
+// geometry, see getPredictors) as the carrier of its single warm pass.
+type predictors struct {
+	hier *cache.Hierarchy
+	bp   *bpred.Predictor
+	ss   *storesets.Predictor
+}
+
+func newPredictors(cfg Config) predictors {
+	return predictors{
+		hier: cache.NewHierarchy(cfg.Hier),
+		bp:   bpred.New(cfg.Bpred),
+		ss:   storesets.New(cfg.StoreSetEntries),
+	}
+}
+
+// reset restores every structure to its post-New state without reallocating.
+func (ps *predictors) reset() {
+	ps.hier.Reset()
+	ps.bp.Reset()
+	ps.ss.Reset()
+}
+
+// copyFrom makes ps an exact copy of src, which must share its geometry.
+func (ps *predictors) copyFrom(src *predictors) {
+	ps.hier.CopyFrom(src.hier)
+	ps.bp.CopyFrom(src.bp)
+	ps.ss.CopyFrom(src.ss)
+}
+
+// clearStats zeroes the stat counters a warm-up dirtied, so a measured
+// window starts hot but clean.
+func (ps *predictors) clearStats() {
+	ps.hier.ClearStats()
+	ps.bp.ClearStats()
+	ps.ss.ClearStats()
+}
 
 // warmStoreSetHorizon is the dynamic-instruction distance within which a
 // load reading a just-stored word can plausibly have been in flight with the
@@ -38,36 +87,42 @@ type warmRecentStore struct {
 // warmPairKey identifies a static store→load pair.
 type warmPairKey struct{ loadPC, storePC uint32 }
 
-// warmReplay carries the incremental state of one functional warm-up: the
-// current I-cache line, the most recent store per word, and the per-pair
-// distance history the store-set rule needs. Records arrive one at a time
-// through warmRec, so the warm segment never has to exist as a slice — the
-// streaming path feeds it straight off the emulator.
+// warmReplay is one functional warm-up in progress: the predictors it
+// trains, the program and layout that place instructions, the current
+// I-cache line, the most recent store per word, and the per-pair distance
+// history the store-set rule needs. Records arrive one at a time through
+// add, so the warm segment never has to exist as a slice — the streaming
+// path feeds it straight off the emulator.
 type warmReplay struct {
+	ps       *predictors
+	p        *prog.Program
+	layout   *minigraph.Layout
 	curLine  uint32
 	pos      int
 	stores   map[uint32]warmRecentStore
 	pairDist map[warmPairKey]int
 }
 
-func newWarmReplay() warmReplay {
-	return warmReplay{curLine: math.MaxUint32}
+// newWarmReplay starts a warm-up of ps for program p under layout, which
+// must be the layout the warmed window's machine runs with.
+func newWarmReplay(ps *predictors, p *prog.Program, layout *minigraph.Layout) *warmReplay {
+	return &warmReplay{ps: ps, p: p, layout: layout, curLine: math.MaxUint32}
 }
 
-// warmRec replays one record into m's predictive structures.
-func (m *machine) warmRec(ws *warmReplay, rec emu.Rec) {
+// add replays the next record into the predictors.
+func (ws *warmReplay) add(rec emu.Rec) {
 	i := ws.pos
 	ws.pos++
 	static := int(rec.Index)
-	addr := m.layout.InlineAddr(static)
+	addr := ws.layout.InlineAddr(static)
 	if line := addr >> 5; line != ws.curLine {
-		m.hier.WarmI(addr)
+		ws.ps.hier.WarmI(addr)
 		ws.curLine = line
 	}
-	in := m.p.Code[static]
+	in := ws.p.Code[static]
 	switch {
 	case in.IsLoad():
-		m.hier.WarmD(rec.Addr, false)
+		ws.ps.hier.WarmD(rec.Addr, false)
 		if st, ok := ws.stores[rec.Addr>>2]; ok && i-st.pos <= warmStoreSetHorizon {
 			k := warmPairKey{loadPC: prog.PCOf(static), storePC: st.pc}
 			d := i - st.pos
@@ -78,77 +133,56 @@ func (m *machine) warmRec(ws *warmReplay, rec emu.Rec) {
 			case !seen:
 				ws.pairDist[k] = d
 			case prev == d:
-				m.ss.Violation(k.loadPC, k.storePC)
+				ws.ps.ss.Violation(k.loadPC, k.storePC)
 			default:
 				ws.pairDist[k] = -1 // irregular spacing: never train this pair
 			}
 		}
 	case in.IsStore():
-		m.hier.WarmD(rec.Addr, true)
+		ws.ps.hier.WarmD(rec.Addr, true)
 		if ws.stores == nil {
 			ws.stores = make(map[uint32]warmRecentStore)
 		}
 		ws.stores[rec.Addr>>2] = warmRecentStore{pos: i, pc: prog.PCOf(static)}
 	case in.IsBranch():
-		m.warmBranch(static, rec)
+		ws.branch(static, rec)
 	}
 }
 
-// warmFinish clears the stat counters the replay dirtied, so the measured
-// window starts hot but clean. Call once after the last warmRec.
-func (m *machine) warmFinish() {
-	m.hier.ClearStats()
-	m.bp.ClearStats()
-	m.ss.ClearStats()
-}
-
-// warmMachine replays warm into m's predictive structures and clears the
-// stat counters. Must run after machine setup (the layout is consulted for
-// instruction addresses) and before the first simulated cycle.
-func (m *machine) warmMachine(warm []emu.Rec) {
-	if len(warm) == 0 {
-		return
-	}
-	ws := newWarmReplay()
-	for _, rec := range warm {
-		m.warmRec(&ws, rec)
-	}
-	m.warmFinish()
-}
-
-// warmBranch trains the front-end predictors for one control transfer,
+// branch trains the front-end predictors for one control transfer,
 // following predictBranch's update sequence exactly (prediction before
 // update, BTB touched only on the paths the detailed model touches it).
-func (m *machine) warmBranch(static int, rec emu.Rec) {
-	in := m.p.Code[static]
+func (ws *warmReplay) branch(static int, rec emu.Rec) {
+	bp := ws.ps.bp
+	in := ws.p.Code[static]
 	pc := prog.PCOf(static)
 	taken := rec.Taken
 	next := int(rec.Next)
 
 	switch {
 	case in.IsCondBranch():
-		pred := m.bp.PredictDirection(pc)
-		m.bp.UpdateDirection(pc, taken)
+		pred := bp.PredictDirection(pc)
+		bp.UpdateDirection(pc, taken)
 		if pred == taken && taken {
-			m.warmTarget(pc, next)
+			warmTarget(bp, pc, next)
 		}
 	case in.Op == isa.OpBr:
-		m.warmTarget(pc, next)
+		warmTarget(bp, pc, next)
 	case in.Op == isa.OpJsr, in.Op == isa.OpJsrI:
-		m.bp.PushRAS(prog.PCOf(static + 1))
-		m.warmTarget(pc, next)
+		bp.PushRAS(prog.PCOf(static + 1))
+		warmTarget(bp, pc, next)
 	case in.IsReturn():
-		m.bp.PopRAS()
+		bp.PopRAS()
 	default: // indirect jmp
-		m.warmTarget(pc, next)
+		warmTarget(bp, pc, next)
 	}
 }
 
 // warmTarget performs the BTB lookup+update pair of predictTakenTarget.
-func (m *machine) warmTarget(pc uint32, next int) {
+func warmTarget(bp *bpred.Predictor, pc uint32, next int) {
 	if next < 0 {
 		return
 	}
-	m.bp.PredictTarget(pc)
-	m.bp.UpdateTarget(pc, prog.PCOf(next))
+	bp.PredictTarget(pc)
+	bp.UpdateTarget(pc, prog.PCOf(next))
 }

@@ -66,6 +66,15 @@ func (p *Predictor) Reset() {
 	p.Predictions = 0
 }
 
+// CopyFrom makes p an exact copy of src — both tables, the next set ID and
+// the counters — reusing p's tables when they are large enough.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	ssit := append(p.ssit[:0], src.ssit...)
+	lfst := append(p.lfst[:0], src.lfst...)
+	*p = *src
+	p.ssit, p.lfst = ssit, lfst
+}
+
 // ClearStats zeroes the counters, keeping the trained SSIT/LFST state.
 func (p *Predictor) ClearStats() {
 	p.Violations = 0
