@@ -174,8 +174,8 @@ benchjson:
 		./internal/pipeline ./internal/critpath ./internal/obs ./internal/metrics | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		-baseline BENCH_PR10.json > BENCH_PR13.json
-	@echo "wrote BENCH_PR13.json"
+		-baseline BENCH_PR13.json > BENCH_PR14.json
+	@echo "wrote BENCH_PR14.json"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
 # benchmark, written to the (gitignored) profiles/ directory. Inspect with

@@ -119,6 +119,8 @@ func BenchmarkSimulatorProfiling(b *testing.B) {
 // estimator end to end — feature extraction, k-means, warm replay and the
 // detailed windows — against BenchmarkSimulatorSingleton's full run on the
 // same workload; the ratio is the sweep-service speedup this mode buys.
+// Minstr/s counts the instructions the estimate stands for, not the ones
+// simulated in detail.
 func BenchmarkRunSampledRepresentative(b *testing.B) {
 	b.ReportAllocs()
 	wb, err := benchSetup(b, "media.dct8")
@@ -128,11 +130,15 @@ func BenchmarkRunSampledRepresentative(b *testing.B) {
 	cfg := Baseline()
 	spec := SampleSpec{Interval: 1000, Window: 1000, Mode: SampleRepresentative}
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunSampledReport(wb.p, wb.tr, cfg, MGConfig{}, spec); err != nil {
+		st, _, err := RunSampledReport(wb.p, wb.tr, cfg, MGConfig{}, spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += st.Instrs
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkSimulatorSlackDynamic measures the run-time monitor overhead.
