@@ -28,13 +28,11 @@ var profileGoldenConfigs = []pipeline.Config{
 	pipeline.Reduced(), pipeline.Baseline(), pipeline.Width2(), pipeline.Width8(), pipeline.SmallDMem(),
 }
 
-// profileGoldenRows profiles every workload on every input and profiling
-// configuration and returns one line per run: the key, the run's cycles
-// and instructions, and the SHA-256 of the profile's Save bytes. Workloads
-// are spread over two goroutines; rows come back in workload order.
-func profileGoldenRows(t *testing.T) []string {
+// goldenRows runs rows on every workload and returns their lines in
+// workload order. Workloads are spread over two goroutines.
+func goldenRows(t *testing.T, rows func(*workload.Workload) ([]string, error)) []string {
 	ws := workload.All()
-	rows := make([][]string, len(ws))
+	lines := make([][]string, len(ws))
 	errs := make([]error, len(ws))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -43,7 +41,7 @@ func profileGoldenRows(t *testing.T) []string {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				rows[i], errs[i] = profileWorkload(ws[i])
+				lines[i], errs[i] = rows(ws[i])
 			}
 		}()
 	}
@@ -53,7 +51,7 @@ func profileGoldenRows(t *testing.T) []string {
 	close(next)
 	wg.Wait()
 	var out []string
-	for i, r := range rows {
+	for i, r := range lines {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
@@ -62,6 +60,65 @@ func profileGoldenRows(t *testing.T) []string {
 	return out
 }
 
+// writeGolden writes a golden table: a "# " header line, then the rows.
+func writeGolden(t *testing.T, path, header string, rows []string) {
+	var b strings.Builder
+	b.WriteString("# " + header + "\n")
+	for _, r := range rows {
+		b.WriteString(r + "\n")
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readGolden returns a golden table's rows, without comments and blank
+// lines.
+func readGolden(t *testing.T, path string) []string {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var rows []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+			rows = append(rows, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// compareRows reports the rows of got that differ from want, the first
+// ten in full.
+func compareRows(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	bad := 0
+	for i := range got {
+		if got[i] != want[i] {
+			if bad++; bad <= 10 {
+				t.Errorf("%s mismatch:\n got %s\nwant %s", what, got[i], want[i])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("... %d %s mismatches in all", bad, what)
+	}
+}
+
+// profileWorkload profiles one workload on every input and profiling
+// configuration and returns one line per run: the key, the run's cycles
+// and instructions, and the SHA-256 of the profile's Save bytes.
 func profileWorkload(w *workload.Workload) ([]string, error) {
 	var rows []string
 	for _, input := range []string{"small", "large"} {
@@ -99,48 +156,10 @@ func TestProfileGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles every workload on both inputs")
 	}
-	got := profileGoldenRows(t)
+	got := goldenRows(t, profileWorkload)
 	if *updateProfiles {
-		var b strings.Builder
-		b.WriteString("# program\tinput\tconfig\tcycles\tinstrs\tsha256(Profile.Save)\n")
-		for _, r := range got {
-			b.WriteString(r + "\n")
-		}
-		if err := os.MkdirAll(filepath.Dir(profileGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(profileGoldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, profileGoldenPath, "program\tinput\tconfig\tcycles\tinstrs\tsha256(Profile.Save)", got)
 		return
 	}
-	f, err := os.Open(profileGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
-			want = append(want, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d profiles, golden has %d", len(got), len(want))
-	}
-	bad := 0
-	for i := range got {
-		if got[i] != want[i] {
-			if bad++; bad <= 10 {
-				t.Errorf("profile mismatch:\n got %s\nwant %s", got[i], want[i])
-			}
-		}
-	}
-	if bad > 10 {
-		t.Errorf("... %d mismatches in all", bad)
-	}
+	compareRows(t, "profile", got, readGolden(t, profileGoldenPath))
 }
