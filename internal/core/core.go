@@ -21,7 +21,7 @@ import (
 
 // Bench is a prepared workload: program, committed trace, per-static
 // frequencies and the mini-graph candidate pool. Profiles are cached per
-// machine configuration.
+// machine configuration, representative-sampling plans per plan key.
 type Bench struct {
 	Workload *workload.Workload
 	Input    string
@@ -33,6 +33,11 @@ type Bench struct {
 	// profiles memoizes slack profiles per machine-configuration
 	// fingerprint, deduplicating concurrent computations.
 	profiles *simcache.Cache[simcache.Key, *slack.Profile]
+	// plans memoizes representative-sampling plans per pipeline.RepPlanKey:
+	// every sampled run of this trace whose machine shares a memory system
+	// and predictor with an earlier one reuses its plan. The cache lives and
+	// dies with the Bench, so a plan never outlives the trace it indexes.
+	plans *simcache.Cache[pipeline.RepPlanKey, *pipeline.RepPlan]
 }
 
 // Prepare builds and functionally executes a workload, enumerates
@@ -61,6 +66,7 @@ func Prepare(w *workload.Workload, input string) (*Bench, error) {
 		Freq:     freq,
 		Cands:    minigraph.Enumerate(p, minigraph.DefaultLimits()),
 		profiles: simcache.Named[simcache.Key, *slack.Profile]("profiles"),
+		plans:    simcache.Named[pipeline.RepPlanKey, *pipeline.RepPlan]("plans"),
 	}, nil
 }
 
@@ -125,20 +131,34 @@ func (b *Bench) Run(cfg pipeline.Config, sel *selector.Selector, chosen *minigra
 	return pipeline.Run(b.Prog, b.Trace, cfg, mgConfigFor(sel, chosen), nil)
 }
 
-// RunSampled executes the timing pipeline at sampled fidelity: the full
-// trace is sliced per spec and only the selected windows run in detail, so
-// the returned stats are estimates (spec.Mode picks uniform-periodic or
-// representative-interval windowing).
-func (b *Bench) RunSampled(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, error) {
-	st, _, err := b.RunSampledReport(cfg, sel, chosen, spec)
-	return st, err
+// RunSampledReport executes the timing pipeline at sampled fidelity: the
+// full trace is sliced per spec and only the selected windows run in detail,
+// so the returned stats are estimates (spec.Mode picks uniform-periodic or
+// representative-interval windowing). The pipeline.SampleReport (mode,
+// window count, detailed-instruction share, error bound) lets drivers print
+// a fidelity banner next to the estimate. A representative run takes its
+// plan from the bench's plan cache, so the plan is built once per key
+// however many machines and policies sample this trace; the estimate is
+// bit-identical to pipeline.RunSampledReport's.
+func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
+	return b.RunSampledReportCtx(context.Background(), cfg, sel, chosen, spec)
 }
 
-// RunSampledReport is RunSampled returning the full pipeline.SampleReport
-// (mode, window count, detailed-instruction share, error bound) so drivers
-// can print a fidelity banner next to the estimate.
-func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
-	return pipeline.RunSampledReport(b.Prog, b.Trace, cfg, mgConfigFor(sel, chosen), spec)
+// RunSampledReportCtx is RunSampledReport with the caller's context threaded
+// through, so the plan-cache lookup (and, on a miss, the planning) appears as
+// a span in exported traces.
+func (b *Bench) RunSampledReportCtx(ctx context.Context, cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
+	mg := mgConfigFor(sel, chosen)
+	if !spec.NeedsPlan(len(b.Trace)) {
+		return pipeline.RunSampledReport(b.Prog, b.Trace, cfg, mg, spec)
+	}
+	plan, _, err := b.plans.DoCtx(ctx, pipeline.RepPlanKeyOf(cfg, spec), func(context.Context) (*pipeline.RepPlan, error) {
+		return pipeline.NewRepPlan(b.Prog, b.Trace, cfg, spec)
+	})
+	if err != nil {
+		return nil, pipeline.SampleReport{}, err
+	}
+	return pipeline.RunRepPlan(plan, b.Prog, b.Trace, cfg, mg, spec)
 }
 
 // RunObserved is Run with an observer attached collecting pipetrace

@@ -148,11 +148,12 @@ func singletonStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config, sam
 		key = simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, cfg, sampleIdentity(*sample))
 	}
 	return resultCache.DoCtx(ctx, key, func(ctx context.Context) (*pipeline.Stats, error) {
-		_, sp := metrics.StartSpan(ctx, "simulate",
+		ctx, sp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
 		defer sp.End()
 		if sample != nil {
-			return b.RunSampled(cfg, nil, nil, *sample)
+			st, _, err := b.RunSampledReportCtx(ctx, cfg, nil, nil, *sample)
+			return st, err
 		}
 		return b.RunSingleton(cfg)
 	})
@@ -235,12 +236,13 @@ func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profC
 		if err != nil {
 			return nil, err
 		}
-		_, sp := metrics.StartSpan(ctx, "simulate",
+		ctx, sp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("workload", b.Workload.Name), metrics.L("config", runCfg.Name),
 			metrics.L("policy", sel.Name()))
 		defer sp.End()
 		if sample != nil {
-			return b.RunSampled(runCfg, sel, chosen, *sample)
+			st, _, err := b.RunSampledReportCtx(ctx, runCfg, sel, chosen, *sample)
+			return st, err
 		}
 		return b.Run(runCfg, sel, chosen)
 	})

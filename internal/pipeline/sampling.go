@@ -53,6 +53,13 @@ func (s SampleSpec) Rate() float64 {
 	return float64(s.Window) / float64(s.Interval)
 }
 
+// NeedsPlan reports whether a sampled run of a traceLen-record trace under s
+// simulates representative windows, and so needs a RepPlan: uniform mode
+// needs none, and neither does a trace short enough to run in full.
+func (s SampleSpec) NeedsPlan(traceLen int) bool {
+	return s.Mode == SampleRepresentative && traceLen > s.Interval+s.Warmup
+}
+
 func (s SampleSpec) validate() error {
 	if s.Interval <= 0 || s.Window <= 0 || s.Window > s.Interval || s.Warmup < 0 {
 		return fmt.Errorf("pipeline: bad sample spec %+v", s)
@@ -168,7 +175,11 @@ func RunSampledReport(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, sp
 		}, err
 	}
 	if spec.Mode == SampleRepresentative {
-		return runSampledRep(p, tr, cfg, mg, spec)
+		pl, err := NewRepPlan(p, tr, cfg, spec)
+		if err != nil {
+			return nil, SampleReport{}, err
+		}
+		return RunRepPlan(pl, p, tr, cfg, mg, spec)
 	}
 
 	var starts []int
