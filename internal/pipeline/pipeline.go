@@ -243,7 +243,7 @@ func runSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched)
+	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched, false)
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +261,13 @@ type prerollSnap struct {
 }
 
 // setupMachine readies a pooled machine for one run: config, program, layout,
-// observers. The caller assigns m.tr (and optionally warms m.predictors)
-// before invoking mainLoop — sampled windows warm through the machine's
-// layout, and the streaming path materializes the trace slice only after
-// the machine exists, so setup cannot take it.
-func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*machine, int64, error) {
+// observers, and predictors reset to their post-New state. The caller assigns
+// m.tr (and optionally warms m.predictors) before invoking mainLoop — sampled
+// windows warm through the machine's layout, and the streaming path
+// materializes the trace slice only after the machine exists, so setup
+// cannot take it. warmCopy says the caller overwrites the predictors whole
+// with an exact copy of a warm pass (copyFrom), so they are not reset.
+func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind, warmCopy bool) (*machine, int64, error) {
 	if watch != nil && !watch.Active() {
 		watch = nil
 	}
@@ -273,6 +275,9 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 		return nil, 0, fmt.Errorf("pipeline: config %q has no rename registers", cfg.Name)
 	}
 	m := getMachine(cfg)
+	if !warmCopy {
+		m.predictors.reset()
+	}
 	m.mgc = mg
 	m.p = p
 	m.watch = watch

@@ -18,10 +18,12 @@ import (
 //
 // Correctness does not ride on which pooled machine a run gets: no
 // simulated outcome depends on slot numbering or pointer identity (the
-// ready heap orders by (wake, seq), issue candidates sort by seq), and
-// reset restores every field makeUop does not, so a reused machine is
-// indistinguishable from a fresh one. TestMachineReuseDeterministic holds
-// this invariant.
+// ready heap orders by (wake, seq), issue candidates sort by seq), reset
+// restores every field makeUop does not bar the predictors, and
+// setupMachine resets those too unless the run overwrites them whole with
+// an exact copy (a representative window's warm state). So a reused
+// machine is indistinguishable from a fresh one.
+// TestMachineReuseDeterministic holds this invariant.
 var machinePools sync.Map // Config -> *sync.Pool of *machine
 
 // poolableSlots bounds the slot-array size a machine may retain in the
@@ -142,11 +144,10 @@ func newMachine(cfg Config) *machine {
 }
 
 // reset restores a pooled machine to its post-newMachine state. Everything
-// makeUop re-initializes per slot is left stale; everything else the run
-// mutated is restored here.
+// makeUop re-initializes per slot is left stale, and so are the predictors,
+// which setupMachine resets unless the run copies them in whole; everything
+// else the run mutated is restored here.
 func (m *machine) reset() {
-	m.predictors.reset()
-
 	m.stats = Stats{}
 	m.cycle = 0
 	m.seq = 0
