@@ -237,9 +237,9 @@ func WriteIndexFile(path string, x *Index) error {
 }
 
 // ReadIndex parses and structurally validates an index: both magics must be
-// present, the entry region must divide evenly, and the embedded CRC must
-// match, so a truncated or bit-rotted index is rejected rather than
-// misdirecting seeks.
+// present, the entry region must divide evenly, the reserved header word
+// must be zero, and the embedded CRC must match, so a truncated or
+// bit-rotted index is rejected rather than misdirecting seeks.
 func ReadIndex(r io.Reader) (*Index, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -263,6 +263,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	x := &Index{Every: int(le.Uint32(raw[8:]))}
 	if x.Every <= 0 {
 		return nil, fmt.Errorf("trace index: invalid record stride %d", x.Every)
+	}
+	if r := le.Uint32(raw[12:]); r != 0 {
+		return nil, fmt.Errorf("trace index: reserved header word %#x, want 0", r)
 	}
 	p := raw[idxHeaderLen:]
 	x.Entries = make([]IndexEntry, entryBytes/idxEntryLen)
