@@ -135,15 +135,21 @@ selfprof-smoke:
 	$(GO) test -run 'TestWatchdog' -count=1 ./internal/core >/dev/null && \
 	rm -rf $$dir && echo "selfprof-smoke ok"
 
-# -nocache end to end: the same two-program sweep with the caches on and
-# off must print byte-identical reports, bar the timing line. -nocache
-# runs the same sweep loop with every cache lookup computing fresh.
+# -nocache end to end: the same sweep with the caches on and off must print
+# byte-identical reports, bar the timing line. -nocache runs the same sweep
+# loop with every cache lookup computing fresh. The second leg samples a
+# Fig 6 sweep representatively: cached, the series of a program share its
+# bench and so its representative plans; under -nocache every task prepares
+# its own bench and plans alone.
 nocache-smoke:
 	@dir=$$(mktemp -d); \
-	run() { $(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32,comm.gen01 -input small \
-		-plots=false "$$@" 2>/dev/null | sed '/completed in/d'; }; \
-	run > $$dir/cached && run -nocache > $$dir/nocache && \
-	grep -q '^Slack-Profile ' $$dir/cached && cmp $$dir/cached $$dir/nocache || \
+	run() { $(GO) run ./cmd/mgreport -plots=false "$$@" 2>/dev/null | sed '/completed in/d'; }; \
+	fig1="-exp fig1 -only comm.crc32,comm.gen01 -input small"; \
+	fig6="-exp fig6 -input large -sample-mode rep -only comm.gen06,intx.hashprobe,media.fir"; \
+	run $$fig1 > $$dir/cached && run $$fig1 -nocache > $$dir/nocache && \
+	grep -q '^Slack-Profile ' $$dir/cached && cmp $$dir/cached $$dir/nocache && \
+	run $$fig6 > $$dir/cached6 && run $$fig6 -nocache > $$dir/nocache6 && \
+	grep -q '^Slack-Dynamic ' $$dir/cached6 && cmp $$dir/cached6 $$dir/nocache6 || \
 		{ echo "nocache-smoke FAILED"; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir && echo "nocache-smoke ok"
 
@@ -174,8 +180,8 @@ benchjson:
 		./internal/pipeline ./internal/critpath ./internal/obs ./internal/metrics | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		-baseline BENCH_PR13.json > BENCH_PR14.json
-	@echo "wrote BENCH_PR14.json"
+		-baseline BENCH_PR14.json > BENCH_PR15.json
+	@echo "wrote BENCH_PR15.json"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
 # benchmark, written to the (gitignored) profiles/ directory. Inspect with
