@@ -75,12 +75,18 @@ critpath-smoke:
 
 # End-to-end metrics/tracing: run one tiny sweep with -trace-out, then
 # validate the Chrome trace it wrote (matched B/E pairs, monotonic
-# timestamps) and print nothing on success.
+# timestamps) and print nothing on success. The second sweep samples
+# (representative windows) on two workers: each sampled run must open its
+# spans under its own task, or concurrent runs interleave on one trace row
+# and the file is invalid.
 metrics-smoke:
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32 -input small -plots=false \
 		-trace-out $$dir/sweep.trace >/dev/null && \
 	$(GO) run ./cmd/mgtrace -spans $$dir/sweep.trace >/dev/null && \
+	$(GO) run ./cmd/mgreport -exp fig6 -input large -sample-mode rep -workers 2 -plots=false \
+		-only comm.gen06,intx.hashprobe,media.fir -trace-out $$dir/sampled.trace >/dev/null && \
+	$(GO) run ./cmd/mgtrace -spans $$dir/sampled.trace >/dev/null && \
 	rm -rf $$dir && echo "metrics-smoke ok"
 
 # Trace-index end to end: an observed binary run must leave a .mgidx

@@ -131,8 +131,8 @@ func main() {
 		// timing run on cfg. The selection itself is always exact — sampling
 		// can never change which mini-graphs are chosen.
 		sample.Workers = runtime.GOMAXPROCS(0)
-		_, esp := metrics.StartSpan(ctx, "estimate", metrics.L("config", cfg.Name))
-		est, estReport, err = bench.RunSampledReport(cfg, sel, chosen, *sample)
+		ectx, esp := metrics.StartSpan(ctx, "estimate", metrics.L("config", cfg.Name))
+		est, estReport, err = bench.RunSampledReportCtx(ectx, cfg, sel, chosen, *sample)
 		esp.End()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mgselect:", err)

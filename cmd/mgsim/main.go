@@ -111,10 +111,10 @@ func main() {
 	var st *pipeline.Stats
 	var srep pipeline.SampleReport
 	if sel == nil {
-		_, ssp := metrics.StartSpan(ctx, "simulate", metrics.L("config", cfg.Name))
+		sctx, ssp := metrics.StartSpan(ctx, "simulate", metrics.L("config", cfg.Name))
 		switch {
 		case sample != nil:
-			st, srep, err = bench.RunSampledReport(cfg, nil, nil, *sample)
+			st, srep, err = bench.RunSampledReportCtx(sctx, cfg, nil, nil, *sample)
 		case watch != nil:
 			st, err = bench.RunSingletonObserved(cfg, watch)
 		default:
@@ -138,13 +138,13 @@ func main() {
 		if drv.Verbose {
 			fmt.Printf("selection coverage (static estimate): %.1f%%\n", 100*chosen.Coverage())
 		}
-		_, ssp := metrics.StartSpan(ctx, "simulate",
+		sctx, ssp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("config", cfg.Name), metrics.L("policy", sel.Name()))
 		switch {
 		case sample != nil:
 			// Profiling and selection above ran exactly; only the timing run
 			// is estimated.
-			st, srep, err = bench.RunSampledReport(cfg, sel, chosen, *sample)
+			st, srep, err = bench.RunSampledReportCtx(sctx, cfg, sel, chosen, *sample)
 		case watch != nil:
 			st, err = bench.RunObserved(cfg, sel, chosen, watch)
 		default:

@@ -145,12 +145,12 @@ func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, ch
 }
 
 // RunSampledReportCtx is RunSampledReport with the caller's context threaded
-// through, so the plan-cache lookup (and, on a miss, the planning) appears as
-// a span in exported traces.
+// through, so the plan-cache lookup (and, on a miss, the planning) and the
+// sampled run's spans nest under the caller's in exported traces.
 func (b *Bench) RunSampledReportCtx(ctx context.Context, cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
 	mg := mgConfigFor(sel, chosen)
 	if !spec.NeedsPlan(len(b.Trace)) {
-		return pipeline.RunSampledReport(b.Prog, b.Trace, cfg, mg, spec)
+		return pipeline.RunSampledReport(ctx, b.Prog, b.Trace, cfg, mg, spec)
 	}
 	plan, _, err := b.plans.DoCtx(ctx, pipeline.RepPlanKeyOf(cfg, spec), func(context.Context) (*pipeline.RepPlan, error) {
 		return pipeline.NewRepPlan(b.Prog, b.Trace, cfg, spec)
@@ -158,7 +158,7 @@ func (b *Bench) RunSampledReportCtx(ctx context.Context, cfg pipeline.Config, se
 	if err != nil {
 		return nil, pipeline.SampleReport{}, err
 	}
-	return pipeline.RunRepPlan(plan, b.Prog, b.Trace, cfg, mg, spec)
+	return pipeline.RunRepPlan(ctx, plan, b.Prog, b.Trace, cfg, mg, spec)
 }
 
 // RunObserved is Run with an observer attached collecting pipetrace

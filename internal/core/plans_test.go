@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func TestBenchSampledPlans(t *testing.T) {
 		plans := map[planTuple]bool{}
 		planned := 0
 		for i, r := range runs {
-			want[i] = outcomeOf(pipeline.RunSampledReport(b.Prog, b.Trace, r.cfg, mgConfigFor(r.sel, r.chosen), r.spec))
+			want[i] = outcomeOf(pipeline.RunSampledReport(context.Background(), b.Prog, b.Trace, r.cfg, mgConfigFor(r.sel, r.chosen), r.spec))
 			if r.spec.Mode == rep && !want[i].rep.Full {
 				plans[planTuple{r.cfg.Hier, r.cfg.Bpred, r.spec.Interval, r.spec.Window, r.spec.Clusters}] = true
 				planned++
@@ -161,7 +162,7 @@ func TestBenchSampledPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pipeline.RunRepPlan(pl, other.Prog, other.Trace, red, pipeline.MGConfig{}, spec); err == nil {
+	if _, _, err := pipeline.RunRepPlan(context.Background(), pl, other.Prog, other.Trace, red, pipeline.MGConfig{}, spec); err == nil {
 		t.Error("plan ran against another trace")
 	}
 	uniform := spec
@@ -170,7 +171,7 @@ func TestBenchSampledPlans(t *testing.T) {
 		cfg  pipeline.Config
 		spec pipeline.SampleSpec
 	}{{pipeline.SmallDMem(), spec}, {smallBP, spec}, {red, specs[1]}, {red, specs[2]}, {red, uniform}} {
-		if _, _, err := pipeline.RunRepPlan(pl, b.Prog, b.Trace, c.cfg, pipeline.MGConfig{}, c.spec); err == nil {
+		if _, _, err := pipeline.RunRepPlan(context.Background(), pl, b.Prog, b.Trace, c.cfg, pipeline.MGConfig{}, c.spec); err == nil {
 			t.Errorf("plan for %s %s ran on %s %s", red.Name, spec.Summary(), c.cfg.Name, c.spec.Summary())
 		}
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
 	"repro/internal/simcache"
 )
 
@@ -110,9 +112,9 @@ func TestMetricsSweepSeries(t *testing.T) {
 	}
 }
 
-// runTracedSweep runs one small sweep with a fresh tracer and cold caches,
-// returning the recorded spans.
-func runTracedSweep(t *testing.T, workers int) []metrics.SpanRecord {
+// runTracedSweep runs one small sweep, at sampled fidelity unless sample is
+// nil, with a fresh tracer and cold caches, returning the recorded spans.
+func runTracedSweep(t *testing.T, workers int, sample *pipeline.SampleSpec) []metrics.SpanRecord {
 	t.Helper()
 	ResetCaches()
 	tr := metrics.NewTracer()
@@ -120,17 +122,32 @@ func runTracedSweep(t *testing.T, workers int) []metrics.SpanRecord {
 	defer metrics.InstallTracer(nil)
 	opts := smallSweepOpts()
 	opts.Workers = workers
+	opts.Sample = sample
 	if _, err := RunSweep("traced", opts, smallSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Spans()
 }
 
+// validChromeTrace reports whether spans export to a structurally valid
+// Chrome trace: matched B/E pairs per thread row, monotonic timestamps.
+func validChromeTrace(spans []metrics.SpanRecord) error {
+	var b bytes.Buffer
+	if err := metrics.WriteChromeTrace(&b, spans); err != nil {
+		return err
+	}
+	parsed, err := metrics.ReadChromeTrace(&b)
+	if err != nil {
+		return err
+	}
+	return metrics.ValidateChromeTrace(parsed)
+}
+
 // TestTraceCoversEveryTask checks the span tree a sweep records: one sweep
 // root, one task span per (workload, series) pair on a worker tid, and a
 // structurally valid Chrome trace export.
 func TestTraceCoversEveryTask(t *testing.T) {
-	spans := runTracedSweep(t, 2)
+	spans := runTracedSweep(t, 2, nil)
 	opts := smallSweepOpts()
 	ws := opts.workloads()
 	specs := smallSpecs()
@@ -187,16 +204,47 @@ func TestTraceCoversEveryTask(t *testing.T) {
 		}
 	}
 
-	var b bytes.Buffer
-	if err := metrics.WriteChromeTrace(&b, spans); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := metrics.ReadChromeTrace(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metrics.ValidateChromeTrace(parsed); err != nil {
+	if err := validChromeTrace(spans); err != nil {
 		t.Errorf("sweep trace invalid: %v", err)
+	}
+}
+
+// TestSampledTraceNestsUnderSimulate runs sampled sweeps on several
+// workers. Each sampled run's span must nest under its task's simulate span:
+// a run opened on a background context lands on pid 0 tid 0, where
+// concurrent runs interleave and the export is invalid.
+func TestSampledTraceNestsUnderSimulate(t *testing.T) {
+	for _, sample := range []pipeline.SampleSpec{
+		{Interval: 1000, Window: 1000, Mode: pipeline.SampleRepresentative},
+		{Interval: 5000, Window: 1000, Warmup: 250},
+	} {
+		for _, workers := range []int{2, 4} {
+			spans := runTracedSweep(t, workers, &sample)
+			name := fmt.Sprintf("%s workers=%d", sample.Summary(), workers)
+			byID := make(map[int64]metrics.SpanRecord, len(spans))
+			for _, s := range spans {
+				byID[s.ID] = s
+			}
+			var runs, orphans int
+			for _, s := range spans {
+				if s.Name != "sampled.rep" && s.Name != "sampled.run" {
+					continue
+				}
+				runs++
+				if byID[s.Parent].Name != "simulate" {
+					orphans++
+				}
+			}
+			if runs == 0 {
+				t.Errorf("%s: no sampled run spans", name)
+			}
+			if orphans > 0 {
+				t.Errorf("%s: %d of %d sampled run spans have no simulate parent", name, orphans, runs)
+			}
+			if err := validChromeTrace(spans); err != nil {
+				t.Errorf("%s: trace invalid: %v", name, err)
+			}
+		}
 	}
 }
 
@@ -225,8 +273,8 @@ func normalizeSpans(spans []metrics.SpanRecord) []string {
 // four workers: singleflight guarantees each computation happens exactly
 // once, so the normalized span multiset must be identical.
 func TestTraceStableAcrossWorkers(t *testing.T) {
-	one := normalizeSpans(runTracedSweep(t, 1))
-	four := normalizeSpans(runTracedSweep(t, 4))
+	one := normalizeSpans(runTracedSweep(t, 1, nil))
+	four := normalizeSpans(runTracedSweep(t, 4, nil))
 	if len(one) != len(four) {
 		t.Fatalf("span count differs: %d with one worker, %d with four\none: %v\nfour: %v",
 			len(one), len(four), diffSets(one, four), diffSets(four, one))

@@ -132,24 +132,6 @@ func (m *Memory) LoadImage(base uint32, data []byte) {
 	}
 }
 
-// Clone deep-copies the sparse page set. The clone and the original are
-// fully independent.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{}
-	if m.pages != nil {
-		c.pages = make(map[uint32]*[pageSize]byte, len(m.pages))
-		for k, p := range m.pages {
-			cp := new([pageSize]byte)
-			*cp = *p
-			c.pages[k] = cp
-		}
-	}
-	return c
-}
-
-// Pages returns the number of touched memory pages (checkpoint footprint).
-func (m *Memory) Pages() int { return len(m.pages) }
-
 // Run executes p to the halt instruction and returns the trace and final
 // state. It returns an error for runaway executions, out-of-range control
 // transfers, or falling off the end of the code. It is the one-shot form of

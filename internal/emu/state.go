@@ -9,9 +9,8 @@ import (
 )
 
 // State is a resumable functional execution: the same interpreter Run uses,
-// but stoppable at any committed-instruction boundary, checkpointable, and
-// restartable from a checkpoint. A State created with NewState and driven to
-// halt produces results byte-identical to Run.
+// but stoppable at any committed-instruction boundary. A State created with
+// NewState and driven to halt produces results byte-identical to Run.
 type State struct {
 	p         *prog.Program
 	mem       Memory
@@ -41,100 +40,14 @@ func NewState(p *prog.Program, opts Options) *State {
 	return s
 }
 
-// Checkpoint is a snapshot of architectural state mid-run: registers, the
-// program counter, the sparse set of touched memory pages, and the dynamic
-// instruction/operation counts. A checkpoint is immutable once taken — Resume
-// copies it, so one checkpoint can seed any number of independent executions.
-type Checkpoint struct {
-	PC     int
-	Regs   [isa.NumRegs]uint32
-	Halted bool
-	Mem    *Memory
-
-	DynInstrs, Loads, Stores, Branches, Taken int64
-}
-
-// Checkpoint snapshots the current architectural state. The memory image is
-// deep-copied; the snapshot stays valid as the State runs on.
-func (s *State) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		PC:        s.pc,
-		Regs:      s.regs,
-		Halted:    s.halted,
-		Mem:       s.mem.Clone(),
-		DynInstrs: s.dynInstrs,
-		Loads:     s.loads,
-		Stores:    s.stores,
-		Branches:  s.branches,
-		Taken:     s.taken,
-	}
-}
-
-// Resume builds a State that continues execution from ck. The checkpoint's
-// memory is deep-copied, so ck remains reusable and concurrent resumes are
-// independent. opts controls trace collection and the instruction bound for
-// the resumed execution (the bound applies to the cumulative DynInstrs count,
-// matching an uninterrupted run).
-func Resume(p *prog.Program, ck *Checkpoint, opts Options) *State {
-	maxInstrs := opts.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = DefaultMaxInstrs
-	}
-	s := &State{
-		p:         p,
-		pc:        ck.PC,
-		regs:      ck.Regs,
-		halted:    ck.Halted,
-		maxInstrs: maxInstrs,
-		collect:   opts.CollectTrace,
-		dynInstrs: ck.DynInstrs,
-		loads:     ck.Loads,
-		stores:    ck.Stores,
-		branches:  ck.Branches,
-		taken:     ck.Taken,
-	}
-	s.mem = *ck.Mem.Clone()
-	if s.collect {
-		s.trace = make([]Rec, 0, 1<<12)
-	}
-	return s
-}
-
 // Halted reports whether the program has committed its halt instruction.
 func (s *State) Halted() bool { return s.halted }
 
 // DynInstrs returns the cumulative committed-instruction count.
 func (s *State) DynInstrs() int64 { return s.dynInstrs }
 
-// PC returns the static index of the next instruction to execute.
-func (s *State) PC() int { return s.pc }
-
-// SetCollect switches trace collection on or off at the current instruction
-// boundary. Turning it on starts recording from the next committed
-// instruction.
-func (s *State) SetCollect(on bool) {
-	if on && !s.collect && s.trace == nil {
-		s.trace = make([]Rec, 0, 1<<12)
-	}
-	s.collect = on
-}
-
-// TakeTrace hands over the records collected since the last TakeTrace (or
-// since collection was enabled) and starts a fresh buffer. The caller owns
-// the returned slice.
-func (s *State) TakeTrace() []Rec {
-	tr := s.trace
-	if s.collect {
-		s.trace = make([]Rec, 0, 1<<12)
-	} else {
-		s.trace = nil
-	}
-	return tr
-}
-
 // Result assembles the functional result of the execution so far. After the
-// State has halted this matches Run's Result exactly (the Trace holds
-// whatever collection produced and was not taken).
+// State has halted this matches Run's Result exactly.
 func (s *State) Result() *Result {
 	return &Result{
 		Trace:     s.trace,

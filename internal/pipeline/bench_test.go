@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/emu"
@@ -132,7 +133,7 @@ func BenchmarkRunSampledRepresentative(b *testing.B) {
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		st, _, err := RunSampledReport(wb.p, wb.tr, cfg, MGConfig{}, spec)
+		st, _, err := RunSampledReport(context.Background(), wb.p, wb.tr, cfg, MGConfig{}, spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func InstallMetrics(reg *metrics.Registry) {
 		cycles:  reg.Counter("mg_sim_cycles_total", "simulated cycles summed over all completed runs"),
 		uops:    reg.Counter("mg_sim_uops_total", "committed micro-ops summed over all completed runs"),
 		instrs:  reg.Counter("mg_sim_instrs_total", "committed instructions summed over all completed runs"),
-		windows: reg.Counter("mg_sim_sample_windows_total", "sample windows simulated by RunSampled"),
+		windows: reg.Counter("mg_sim_sample_windows_total", "sample windows simulated by RunSampledReport"),
 	})
 }
 

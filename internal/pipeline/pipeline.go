@@ -243,11 +243,10 @@ func runSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched, false)
+	m, maxCycles, err := setupMachine(p, tr, cfg, mg, prof, watch, sched, false)
 	if err != nil {
 		return nil, err
 	}
-	m.tr = tr
 	return m.mainLoop(maxCycles, 0, nil)
 }
 
@@ -260,14 +259,13 @@ type prerollSnap struct {
 	handles, embedded, mispredicts, replay int64
 }
 
-// setupMachine readies a pooled machine for one run: config, program, layout,
-// observers, and predictors reset to their post-New state. The caller assigns
-// m.tr (and optionally warms m.predictors) before invoking mainLoop — sampled
-// windows warm through the machine's layout, and the streaming path
-// materializes the trace slice only after the machine exists, so setup
-// cannot take it. warmCopy says the caller overwrites the predictors whole
-// with an exact copy of a warm pass (copyFrom), so they are not reset.
-func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind, warmCopy bool) (*machine, int64, error) {
+// setupMachine readies a pooled machine to simulate tr: config, program,
+// trace, layout, observers, and predictors reset to their post-New state.
+// A sampled window's caller then warms m.predictors, which must happen after
+// setup because the warm-up places instructions through the machine's
+// layout. warmCopy says the caller overwrites the predictors whole with an
+// exact copy of a warm pass (copyFrom), so they are not reset.
+func setupMachine(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind, warmCopy bool) (*machine, int64, error) {
 	if watch != nil && !watch.Active() {
 		watch = nil
 	}
@@ -280,6 +278,7 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 	}
 	m.mgc = mg
 	m.p = p
+	m.tr = tr
 	m.watch = watch
 	m.flight = obs.Flight()
 	if m.flight != nil {

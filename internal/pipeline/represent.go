@@ -23,7 +23,7 @@ import (
 // Uniform periodic sampling (sampling.go) stays available as the
 // differential oracle, selected by SampleSpec.Mode.
 
-// SampleMode selects the windowing strategy of RunSampled.
+// SampleMode selects the windowing strategy of RunSampledReport.
 type SampleMode uint8
 
 const (
@@ -116,14 +116,13 @@ func bbvBucket(block int) int {
 	return int((uint32(block) * 2654435761) >> 26) // top 6 bits: 64 buckets
 }
 
-// featAccum extracts per-interval feature vectors incrementally, one record
-// at a time, so the trace never has to exist as a whole: the in-memory path
-// feeds it a slice, the streaming path feeds it straight off the emulator.
-// The replay runs a cache hierarchy and direction predictor of cfg's geometry
-// continuously across the whole trace, so the proxy dims see the same warm-up
-// drift the detailed model would — the one signal pure code-mix features are
-// blind to. Both are borrowed from a pooled predictors set, which the caller
-// hands in reset and resets again afterwards.
+// featAccum extracts per-interval feature vectors one record at a time (see
+// intervalFeatures). The replay runs a cache hierarchy and direction
+// predictor of cfg's geometry continuously across the whole trace, so the
+// proxy dims see the same warm-up drift the detailed model would — the one
+// signal pure code-mix features are blind to. Both are borrowed from a
+// pooled predictors set, which the caller hands in reset and resets again
+// afterwards.
 type featAccum struct {
 	p        *prog.Program
 	interval int
@@ -479,9 +478,7 @@ func repDeltas(st *Stats, snap *prerollSnap) windowResult {
 // for one trace under one RepPlanKey: which windows to simulate in detail,
 // what instruction mass each stands for, and the dispersion terms the error
 // bound needs. It keeps the window list, not the feature vectors, so holding
-// one costs a few KB. Both the in-memory and the streaming sampled paths
-// build a plan the same way and aggregate it the same way; only how they
-// execute the windows differs.
+// one costs a few KB.
 type RepPlan struct {
 	key        RepPlanKey
 	traceLen   int
@@ -716,8 +713,9 @@ func (pl *RepPlan) aggregate(results []windowResult, traceLen int) (*Stats, Samp
 // simulates pl's windows in detail on cfg with mg, each warmed by one
 // functional pass over tr, and combines them into whole-run estimates. pl
 // must have been made by NewRepPlan for a trace of tr's length under the key
-// of cfg and spec; any other plan is an error, never an estimate.
-func RunRepPlan(pl *RepPlan, p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, SampleReport, error) {
+// of cfg and spec; any other plan is an error, never an estimate. The run's
+// spans nest under ctx's.
+func RunRepPlan(ctx context.Context, pl *RepPlan, p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, SampleReport, error) {
 	if err := spec.validate(); err != nil {
 		return nil, SampleReport{}, err
 	}
@@ -731,7 +729,7 @@ func RunRepPlan(pl *RepPlan, p *prog.Program, tr []emu.Rec, cfg Config, mg MGCon
 	}
 	ps := getPredictors(cfg)
 	defer putPredictors(cfg, ps)
-	ctx, runSpan := metrics.StartSpan(context.Background(), "sampled.rep",
+	ctx, runSpan := metrics.StartSpan(ctx, "sampled.rep",
 		metrics.L("prog", p.Name), metrics.L("clusters", strconv.Itoa(len(pl.jobs))))
 	results := runRepWindows(ctx, p, tr, cfg, mg, pl.jobs, ps, spec.Workers)
 	runSpan.End()
@@ -757,7 +755,7 @@ func runRepWindows(ctx context.Context, p *prog.Program, tr []emu.Rec, cfg Confi
 	pos := 0
 	prepare := func(i int) repRun {
 		w := jobs[i]
-		m, maxCycles, err := setupMachine(p, cfg, mg, nil, nil, defaultSched, true)
+		m, maxCycles, err := setupMachine(p, tr[w.preStart:w.end], cfg, mg, nil, nil, defaultSched, true)
 		if err != nil {
 			return repRun{i: i, err: err}
 		}
@@ -769,7 +767,6 @@ func runRepWindows(ctx context.Context, p *prog.Program, tr []emu.Rec, cfg Confi
 		}
 		m.predictors.copyFrom(ps)
 		m.predictors.clearStats()
-		m.tr = tr[w.preStart:w.end]
 		return repRun{i: i, w: w, m: m, maxCycles: maxCycles}
 	}
 

@@ -11,11 +11,27 @@ import (
 	"repro/internal/workload"
 )
 
+// streamTrace builds name's small input and returns the program with its
+// whole committed trace.
+func streamTrace(t *testing.T, name string) (*prog.Program, []emu.Rec) {
+	t.Helper()
+	w := workload.Find(name)
+	prg, _, _, err := w.Build("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := emu.Run(prg, emu.Options{CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prg, res.Trace
+}
+
 // warmWindowFromScratch is the per-window oracle for runRepWindows: a fresh
 // machine functionally warmed with the window's whole prefix tr[:preStart],
 // then the window simulated in detail past its pre-roll.
 func warmWindowFromScratch(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, w repWindow) windowResult {
-	m, maxCycles, err := setupMachine(p, cfg, mg, nil, nil, defaultSched, false)
+	m, maxCycles, err := setupMachine(p, tr[w.preStart:w.end], cfg, mg, nil, nil, defaultSched, false)
 	if err != nil {
 		return windowResult{err: err}
 	}
@@ -24,7 +40,6 @@ func warmWindowFromScratch(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfi
 		ws.add(rec)
 	}
 	m.predictors.clearStats()
-	m.tr = tr[w.preStart:w.end]
 	var snap prerollSnap
 	st, err := m.mainLoop(maxCycles, int64(w.start-w.preStart), &snap)
 	if err != nil {
@@ -46,7 +61,7 @@ func TestRepWindowsMatchFromScratchWarm(t *testing.T) {
 			freq[r.Index]++
 		}
 		sel := minigraph.Select(p, minigraph.Enumerate(p, minigraph.DefaultLimits()), freq, minigraph.DefaultSelectConfig())
-		for _, cfg := range []Config{Reduced(), Width8()} {
+		for _, cfg := range []Config{Reduced(), Baseline(), Width8()} {
 			ps := getPredictors(cfg)
 			feats, lens := intervalFeatures(p, tr, cfg, ps, spec.Interval)
 			plan := planRepWindows(feats, lens, len(tr), RepPlanKeyOf(cfg, spec))
@@ -86,14 +101,14 @@ func TestRepresentativeWorkersDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := SampleSpec{Interval: 1000, Window: 1000, Mode: SampleRepresentative}
-	serial, serialReport, err := RunSampledReport(p, res.Trace, Baseline(), MGConfig{}, base)
+	serial, serialReport, err := RunSampledReport(context.Background(), p, res.Trace, Baseline(), MGConfig{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		spec := base
 		spec.Workers = workers
-		par, parReport, err := RunSampledReport(p, res.Trace, Baseline(), MGConfig{}, spec)
+		par, parReport, err := RunSampledReport(context.Background(), p, res.Trace, Baseline(), MGConfig{}, spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -129,12 +144,12 @@ func TestRepresentativeVsUniformVsFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, repReport, err := RunSampledReport(p, tr, cfg, MGConfig{},
+	rep, repReport, err := RunSampledReport(context.Background(), p, tr, cfg, MGConfig{},
 		SampleSpec{Interval: 1000, Window: 1000, Mode: SampleRepresentative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, uniReport, err := RunSampledReport(p, tr, cfg, MGConfig{},
+	uni, uniReport, err := RunSampledReport(context.Background(), p, tr, cfg, MGConfig{},
 		SampleSpec{Interval: 5000, Window: 1000, Warmup: 250})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +188,7 @@ func TestRepresentativeShortTraceFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := SampleSpec{Interval: 1 << 20, Window: 1000, Mode: SampleRepresentative}
-	est, report, err := RunSampledReport(p, res.Trace, Baseline(), MGConfig{}, spec)
+	est, report, err := RunSampledReport(context.Background(), p, res.Trace, Baseline(), MGConfig{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,17 +93,11 @@ func runWindow(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec Samp
 	// fetched instruction starts a fetch group cleanly; any boundary
 	// works since the machine is fresh. Simulate [warmStart, end).
 	end := start + spec.Window
-	return measureWindow(p, tr[warmStart:end], cfg, mg, int64(start-warmStart))
-}
-
-// measureWindow is the uniform-mode measurement core: simulate the warm-up
-// prefix alone, then the whole subtrace, and report the difference. The
-// streaming path calls it on a subtrace re-materialized from a checkpoint.
-func measureWindow(p *prog.Program, sub []emu.Rec, cfg Config, mg MGConfig, warmLen int64) windowResult {
+	sub := tr[warmStart:end]
 	warmStats := &Stats{}
-	if warmLen > 0 {
+	if warmStart < start {
 		var err error
-		warmStats, err = Run(p, sub[:warmLen], cfg, mg, nil)
+		warmStats, err = Run(p, sub[:start-warmStart], cfg, mg, nil)
 		if err != nil {
 			return windowResult{err: err}
 		}
@@ -139,27 +133,18 @@ func runTracedWindow(ctx context.Context, p *prog.Program, tr []emu.Rec, cfg Con
 	return r
 }
 
-// RunSampled estimates a full run's statistics by simulating periodic
-// sample windows with warm-up, extrapolating cycles and uops from the
-// measured instruction share. Each sample runs on a fresh machine whose
-// structures are warmed by the preceding Warmup instructions (cold-start
-// bias beyond the warm-up is the standard cost of this methodology).
+// RunSampledReport estimates a full run's statistics from sample windows of
+// tr and reports what it simulated: which mode ran, how many windows, how
+// much was simulated in detail, and (in representative mode) the heuristic
+// error bound. Uniform mode simulates periodic windows, each on a fresh
+// machine warmed by the preceding Warmup instructions in detail (cold-start
+// bias beyond the warm-up is the standard cost of this methodology), and
+// extrapolates cycles and uops from the measured instruction share.
+// Representative mode builds a RepPlan and runs it (see RunRepPlan).
 // Windows are simulated serially or by spec.Workers goroutines; either way
 // the aggregation happens in window order, so the estimate is
-// deterministic. Returns estimated statistics plus the fraction of
-// instructions actually simulated.
-func RunSampled(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, float64, error) {
-	st, report, err := RunSampledReport(p, tr, cfg, mg, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return st, report.SimulatedFrac, nil
-}
-
-// RunSampledReport is RunSampled returning the full SampleReport: which mode
-// ran, how many windows, how much was simulated in detail, and (in
-// representative mode) the heuristic error bound.
-func RunSampledReport(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, SampleReport, error) {
+// deterministic. The run's spans nest under ctx's.
+func RunSampledReport(ctx context.Context, p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, spec SampleSpec) (*Stats, SampleReport, error) {
 	if err := spec.validate(); err != nil {
 		return nil, SampleReport{}, err
 	}
@@ -179,14 +164,14 @@ func RunSampledReport(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, sp
 		if err != nil {
 			return nil, SampleReport{}, err
 		}
-		return RunRepPlan(pl, p, tr, cfg, mg, spec)
+		return RunRepPlan(ctx, pl, p, tr, cfg, mg, spec)
 	}
 
 	var starts []int
 	for start := spec.Interval; start+spec.Window <= len(tr); start += spec.Interval {
 		starts = append(starts, start)
 	}
-	ctx, runSpan := metrics.StartSpan(context.Background(), "sampled.run",
+	ctx, runSpan := metrics.StartSpan(ctx, "sampled.run",
 		metrics.L("prog", p.Name), metrics.L("windows", strconv.Itoa(len(starts))))
 	results := make([]windowResult, len(starts))
 	if spec.Workers > 1 {
@@ -220,9 +205,7 @@ func RunSampledReport(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, sp
 }
 
 // aggregateUniform combines uniform-mode window results into whole-run
-// estimates by extrapolating from the measured instruction share. Shared by
-// the in-memory (RunSampledReport) and streaming (RunSampledProg) paths so
-// their estimates are identical by construction.
+// estimates by extrapolating from the measured instruction share.
 func aggregateUniform(results []windowResult, traceLen int, spec SampleSpec) (*Stats, SampleReport, error) {
 	est := &Stats{}
 	var measuredInstrs, measuredCycles, measuredUops, simulated int64

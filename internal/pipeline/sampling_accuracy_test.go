@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestSamplingAccuracyGate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("full run %s: %v", name, err)
 		}
-		est, report, err := RunSampledReport(p, tr, cfg, MGConfig{}, gateSpec)
+		est, report, err := RunSampledReport(context.Background(), p, tr, cfg, MGConfig{}, gateSpec)
 		if err != nil {
 			t.Fatalf("sampled run %s: %v", name, err)
 		}

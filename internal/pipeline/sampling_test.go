@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/emu"
@@ -27,7 +28,7 @@ func TestSampledMatchesFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-		est, simFrac, err := RunSampled(p, res.Trace, cfg, MGConfig{}, spec)
+		est, report, err := RunSampledReport(context.Background(), p, res.Trace, cfg, MGConfig{}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,8 +37,8 @@ func TestSampledMatchesFullRun(t *testing.T) {
 			t.Errorf("%s: sampled estimate %.0f%% of full cycles (%d vs %d)",
 				name, 100*ratio, est.Cycles, full.Cycles)
 		}
-		if simFrac >= 1.0 {
-			t.Errorf("%s: sampling simulated everything (%.2f)", name, simFrac)
+		if report.SimulatedFrac >= 1.0 {
+			t.Errorf("%s: sampling simulated everything (%.2f)", name, report.SimulatedFrac)
 		}
 		if est.Instrs != full.Instrs {
 			t.Errorf("%s: instruction accounting %d vs %d", name, est.Instrs, full.Instrs)
@@ -76,7 +77,7 @@ func TestSampledUopExtrapolation(t *testing.T) {
 		t.Fatalf("test premise broken: full run has %d uops for %d instrs", full.Uops, full.Instrs)
 	}
 	spec := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-	est, _, err := RunSampled(p, res.Trace, cfg, mg, spec)
+	est, _, err := RunSampledReport(context.Background(), p, res.Trace, cfg, mg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +104,14 @@ func TestSampledWorkersDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-	serial, serialFrac, err := RunSampled(p, res.Trace, Reduced(), MGConfig{}, base)
+	serial, serialReport, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		spec := base
 		spec.Workers = workers
-		par, parFrac, err := RunSampled(p, res.Trace, Reduced(), MGConfig{}, spec)
+		par, parReport, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -118,8 +119,8 @@ func TestSampledWorkersDeterministic(t *testing.T) {
 			t.Errorf("workers=%d: stats diverge from serial:\nserial %+v\npar    %+v",
 				workers, serial, par)
 		}
-		if parFrac != serialFrac {
-			t.Errorf("workers=%d: simulated fraction %v != %v", workers, parFrac, serialFrac)
+		if parReport.SimulatedFrac != serialReport.SimulatedFrac {
+			t.Errorf("workers=%d: simulated fraction %v != %v", workers, parReport.SimulatedFrac, serialReport.SimulatedFrac)
 		}
 	}
 }
@@ -132,12 +133,12 @@ func TestSampledShortProgramFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := SampleSpec{Interval: 1 << 20, Window: 1000, Warmup: 100}
-	est, frac, err := RunSampled(p, res.Trace, Reduced(), MGConfig{}, spec)
+	est, report, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frac != 1 {
-		t.Errorf("short program should simulate fully, frac = %.2f", frac)
+	if report.SimulatedFrac != 1 {
+		t.Errorf("short program should simulate fully, frac = %.2f", report.SimulatedFrac)
 	}
 	if est.Instrs != int64(len(res.Trace)) {
 		t.Error("fallback lost instructions")
@@ -155,7 +156,7 @@ func TestSampleSpecValidation(t *testing.T) {
 		{Interval: 100, Window: 10, Warmup: -1},
 	}
 	for _, spec := range bad {
-		if _, _, err := RunSampled(p, res.Trace, Reduced(), MGConfig{}, spec); err == nil {
+		if _, _, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec); err == nil {
 			t.Errorf("spec %+v should be rejected", spec)
 		}
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -210,11 +211,11 @@ func TestSampledDifferential(t *testing.T) {
 		defer func() { defaultSched = SchedEvent }()
 		spec := spec
 		spec.Workers = workers
-		st, rate, err := RunSampled(p, res.Trace, Reduced(), MGConfig{Selection: sel}, spec)
+		st, report, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{Selection: sel}, spec)
 		if err != nil {
 			t.Fatalf("%v scheduler, %d workers: %v", k, workers, err)
 		}
-		return st, rate
+		return st, report.SimulatedFrac
 	}
 	stE, rateE := run(SchedEvent, 1)
 	stS, rateS := run(SchedScan, 1)

@@ -91,8 +91,8 @@ type warmPairKey struct{ loadPC, storePC uint32 }
 // trains, the program and layout that place instructions, the current
 // I-cache line, the most recent store per word, and the per-pair distance
 // history the store-set rule needs. Records arrive one at a time through
-// add, so the warm segment never has to exist as a slice — the streaming
-// path feeds it straight off the emulator.
+// add, so one replay can pause at each window's pre-roll start and resume
+// toward the next (see runRepWindows).
 type warmReplay struct {
 	ps       *predictors
 	p        *prog.Program
