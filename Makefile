@@ -177,7 +177,9 @@ bench:
 # The fresh numbers are diffed against the previous PR's committed baseline;
 # a >15% ns/op regression or a >25% allocs/op growth on any shared benchmark
 # fails the target. Each benchmark runs three times and benchjson keeps the
-# fastest, damping scheduler noise. Documents carry a host fingerprint:
+# fastest, damping scheduler noise; a benchmark's own metrics (the
+# simulator benchmarks' ns/instr) are recorded per row and their deltas
+# printed, but not gated. Documents carry a host fingerprint:
 # benchjson warns when the baseline came from a different machine (those
 # deltas measure the hardware as much as the code); pass -strict-host to
 # make that a failure (see README "Performance").
@@ -186,8 +188,8 @@ benchjson:
 		./internal/pipeline ./internal/critpath ./internal/obs ./internal/metrics | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		-baseline BENCH_PR14.json > BENCH_PR15.json
-	@echo "wrote BENCH_PR15.json"
+		-baseline BENCH_PR15.json > BENCH_PR17.json
+	@echo "wrote BENCH_PR17.json"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
 # benchmark, written to the (gitignored) profiles/ directory. Inspect with

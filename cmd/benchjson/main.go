@@ -7,8 +7,8 @@
 // the code); -strict-host turns the warning into a failure.
 //
 // With -baseline it also diffs the fresh numbers against a previously
-// committed document, prints per-benchmark ns/op and allocs/op deltas on
-// stderr, and exits non-zero when any shared benchmark regressed by more
+// committed document, prints per-benchmark ns/op, ns/instr and allocs/op
+// deltas on stderr, and exits non-zero when any shared benchmark regressed by more
 // than -max-regress in ns/op or grew allocs/op by more than
 // -max-alloc-regress (the JSON is still written first, so the artifact
 // survives a failing gate for inspection). The alloc gate only applies
@@ -32,13 +32,15 @@ import (
 	"repro/internal/ledger"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line. Metrics holds the benchmark's own
+// b.ReportMetric values by unit (the simulator benchmarks report ns/instr).
 type Benchmark struct {
-	Name        string  `json:"name"`
-	Iters       int64   `json:"iters"`
-	NsPerOp     float64 `json:"nsPerOp"`
-	BytesPerOp  int64   `json:"bytesPerOp"`  // -1 without -benchmem
-	AllocsPerOp int64   `json:"allocsPerOp"` // -1 without -benchmem
+	Name        string             `json:"name"`
+	Iters       int64              `json:"iters"`
+	NsPerOp     float64            `json:"nsPerOp"`
+	BytesPerOp  int64              `json:"bytesPerOp"`  // -1 without -benchmem
+	AllocsPerOp int64              `json:"allocsPerOp"` // -1 without -benchmem
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Doc is the output document. Host is the machine fingerprint of the run;
@@ -181,6 +183,9 @@ func diffDocs(cur, base Doc, tol, allocTol float64) (lines, regressions []string
 		if pct > tol {
 			regressions = append(regressions, key)
 		}
+		if n, o := b.Metrics["ns/instr"], old.Metrics["ns/instr"]; n > 0 && o > 0 {
+			line += fmt.Sprintf("  %7.1f -> %7.1f ns/instr  %+6.1f%%", o, n, (n-o)/o*100)
+		}
 		if b.AllocsPerOp >= 0 && old.AllocsPerOp >= 0 {
 			line += fmt.Sprintf("  %6d -> %6d allocs/op", old.AllocsPerOp, b.AllocsPerOp)
 			if allocsRegressed(old.AllocsPerOp, b.AllocsPerOp, allocTol) {
@@ -230,15 +235,20 @@ func parseBench(sc *bufio.Scanner) ([]Benchmark, error) {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
 		for i := 4; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseInt(f[i], 10, 64)
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				continue
 			}
-			switch f[i+1] {
+			switch unit := f[i+1]; unit {
 			case "B/op":
-				b.BytesPerOp = v
+				b.BytesPerOp = int64(v)
 			case "allocs/op":
-				b.AllocsPerOp = v
+				b.AllocsPerOp = int64(v)
+			default:
+				if b.Metrics == nil {
+					b.Metrics = make(map[string]float64)
+				}
+				b.Metrics[unit] = v
 			}
 		}
 		out = append(out, b)

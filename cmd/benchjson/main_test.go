@@ -15,7 +15,7 @@ const sample = `goos: linux
 goarch: amd64
 pkg: repro/internal/pipeline
 cpu: something
-BenchmarkSimulatorSingleton-8   	     100	   1234567 ns/op	    4096 B/op	      12 allocs/op
+BenchmarkSimulatorSingleton-8   	     100	   1234567 ns/op	       345.4 ns/instr	    4096 B/op	      12 allocs/op
 BenchmarkSimulatorMiniGraphs-8  	      50	   2345678 ns/op
 PASS
 ok  	repro/internal/pipeline	3.456s
@@ -36,6 +36,36 @@ func TestParseBench(t *testing.T) {
 	}
 	if benches[1].BytesPerOp != -1 || benches[1].AllocsPerOp != -1 {
 		t.Errorf("missing -benchmem fields should be -1: %+v", benches[1])
+	}
+	// A benchmark's own metrics are kept per benchmark, by unit.
+	if got := b.Metrics["ns/instr"]; got != 345.4 || len(b.Metrics) != 1 {
+		t.Errorf("first benchmark's metrics = %v, want ns/instr 345.4", b.Metrics)
+	}
+	if benches[1].Metrics != nil {
+		t.Errorf("benchmark without custom metrics got %v", benches[1].Metrics)
+	}
+}
+
+// TestDiffDocsNsPerInstr: rows carrying ns/instr on both sides print its
+// delta; the gate stays on ns/op.
+func TestDiffDocsNsPerInstr(t *testing.T) {
+	base := Doc{Rev: "old", Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: -1, Metrics: map[string]float64{"ns/instr": 200}},
+		{Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: -1},
+	}}
+	cur := Doc{Rev: "new", Benchmarks: []Benchmark{
+		{Name: "BenchmarkA-8", NsPerOp: 900, AllocsPerOp: -1, Metrics: map[string]float64{"ns/instr": 180}},
+		{Name: "BenchmarkB-8", NsPerOp: 900, AllocsPerOp: -1, Metrics: map[string]float64{"ns/instr": 180}},
+	}}
+	lines, regressions := diffDocs(cur, base, 0.15, 0.25)
+	if len(regressions) != 0 {
+		t.Errorf("regressions = %v, want none", regressions)
+	}
+	if !strings.Contains(lines[0], "200.0 ->   180.0 ns/instr   -10.0%") {
+		t.Errorf("ns/instr delta missing from line: %q", lines[0])
+	}
+	if strings.Contains(lines[1], "ns/instr") {
+		t.Errorf("row without a baseline ns/instr should print no delta: %q", lines[1])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -263,8 +264,13 @@ func TestTracerConcurrent(t *testing.T) {
 // TestSpanCPUAccounting covers the opt-in CPU path: with accounting on,
 // a span's record carries the thread's CPU delta and the Chrome export
 // stamps cpu_ms; with accounting off (the default), neither appears and
-// fake-clock traces stay byte-deterministic.
+// fake-clock traces stay byte-deterministic. The span is measured on a
+// pinned goroutine, the precondition the thread CPU clock documents (see
+// cputime.go): unpinned, a migration between threads records "not
+// measured" and the busy span reads zero.
 func TestSpanCPUAccounting(t *testing.T) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	tr := NewTracer()
 	InstallTracer(tr)
 	defer InstallTracer(nil)

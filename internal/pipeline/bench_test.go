@@ -39,6 +39,12 @@ type workloadBench struct {
 	sel *minigraph.Selection
 }
 
+// reportNsPerInstr reports the time per simulated instruction. Unlike
+// ns/op, it compares across workloads, machines and trace lengths.
+func reportNsPerInstr(b *testing.B, instrs int64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
 // BenchmarkSimulatorSingleton measures raw cycle-level simulation speed.
 func BenchmarkSimulatorSingleton(b *testing.B) {
 	b.ReportAllocs()
@@ -56,7 +62,7 @@ func BenchmarkSimulatorSingleton(b *testing.B) {
 		}
 		instrs += st.Instrs
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	reportNsPerInstr(b, instrs)
 }
 
 // BenchmarkSimulatorMiniGraphs measures simulation speed with mini-graph
@@ -69,11 +75,15 @@ func BenchmarkSimulatorMiniGraphs(b *testing.B) {
 	}
 	cfg := Reduced()
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil); err != nil {
+		st, err := Run(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += st.Instrs
 	}
+	reportNsPerInstr(b, instrs)
 }
 
 // BenchmarkSimulatorMiniGraphsScan measures the reference per-cycle scan
@@ -87,11 +97,15 @@ func BenchmarkSimulatorMiniGraphsScan(b *testing.B) {
 	}
 	cfg := Reduced()
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := runSched(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil, nil, SchedScan); err != nil {
+		st, err := runSched(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel}, nil, nil, SchedScan)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += st.Instrs
 	}
+	reportNsPerInstr(b, instrs)
 }
 
 // BenchmarkSimulatorProfiling measures the slack-profiling run (the most
@@ -113,15 +127,15 @@ func BenchmarkSimulatorProfiling(b *testing.B) {
 		}
 		instrs += st.Instrs
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	reportNsPerInstr(b, instrs)
 }
 
 // BenchmarkRunSampledRepresentative measures the representative-interval
 // estimator end to end — feature extraction, k-means, warm replay and the
 // detailed windows — against BenchmarkSimulatorSingleton's full run on the
-// same workload; the ratio is the sweep-service speedup this mode buys.
-// Minstr/s counts the instructions the estimate stands for, not the ones
-// simulated in detail.
+// same workload; the ratio of their ns/instr is the sweep-service speedup
+// this mode buys. Its ns/instr counts the instructions the estimate stands
+// for, not the ones simulated in detail.
 func BenchmarkRunSampledRepresentative(b *testing.B) {
 	b.ReportAllocs()
 	wb, err := benchSetup(b, "media.dct8")
@@ -139,7 +153,7 @@ func BenchmarkRunSampledRepresentative(b *testing.B) {
 		}
 		instrs += st.Instrs
 	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	reportNsPerInstr(b, instrs)
 }
 
 // BenchmarkSimulatorSlackDynamic measures the run-time monitor overhead.
@@ -151,9 +165,13 @@ func BenchmarkSimulatorSlackDynamic(b *testing.B) {
 	}
 	cfg := Reduced()
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel, Dynamic: true}, nil); err != nil {
+		st, err := Run(wb.p, wb.tr, cfg, MGConfig{Selection: wb.sel, Dynamic: true}, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += st.Instrs
 	}
+	reportNsPerInstr(b, instrs)
 }

@@ -11,9 +11,6 @@ type MGConfig struct {
 	// Selection is the set of mini-graphs to execute; nil disables
 	// mini-graph processing.
 	Selection *minigraph.Selection
-	// Layout is the transformed code layout; required when Selection is
-	// non-nil.
-	Layout *minigraph.Layout
 
 	// Dynamic enables the Slack-Dynamic run-time monitor, which disables
 	// templates whose instances show harmful serialization.

@@ -26,45 +26,36 @@ const never = int64(math.MaxInt64)
 // handle (one uop standing for up to four instructions), or an outlining
 // overhead jump.
 //
-// Fields the scheduler touches every cycle — issue/ready/resolve times,
-// wait counts, wakeup chains, dependence slots, squash/commit flags — live
-// in the machine's hotState arrays (see soa.go), indexed by slot. The
-// struct keeps the per-uop state read at most a handful of times per uop:
-// decode/fetch-time facts, memory/branch bookkeeping, recycling state and
+// Its decoded, per-static facts — kind, op, class, sources, destination,
+// memory and branch flags — live in the shared template it points at (see
+// static.go). Fields the scheduler touches every cycle — issue/ready/resolve
+// times, wait counts, wakeup chains, dependence slots, squash/commit flags —
+// live in the machine's hotState arrays (see soa.go), indexed by slot. The
+// struct keeps the per-instance state read at most a handful of times per
+// uop: fetch-time facts, memory/branch bookkeeping, recycling state and
 // profiling extras.
 type uop struct {
+	*uopStatic
+
 	slot     int32 // index into the machine's hotState arrays (permanent)
 	seq      int64
 	traceIdx int // first trace record index (overhead jumps borrow their MG's)
-	nRecs    int // trace records this uop accounts for (0 for overhead jumps)
 	static   int // static index of the (first) instruction
-	kind     uopKind
-	mg       *minigraph.Instance
-
-	op    isa.Op
-	class isa.Class
 
 	fetchCycle  int64
 	renameReady int64
 	renameCycle int64 // actual rename cycle (-1 until renamed; pipetrace)
 
-	nSrc      int
-	srcReg    [3]isa.Reg
 	srcReadyC [3]int64
 
-	writesReg  bool
-	dstReg     isa.Reg
 	prevWriter *uop
 
-	isLoad, isStore bool
-	memAddr         uint32
-	memCycle        int64 // cycle the load's memory access begins
-	forwardedFrom   *uop
+	memAddr       uint32
+	memCycle      int64 // cycle the load's memory access begins
+	forwardedFrom *uop
 
-	hasBranch bool // this uop resolves a control transfer
-	mispred   bool
-	actualTkn bool
-	replays   uint16 // wasted issue attempts (pipetrace)
+	mispred bool
+	replays uint16 // wasted issue attempts (pipetrace)
 
 	// Recycling state (see reclaim): refBarrier is the machine seq at this
 	// uop's commit — once every older uop has left the window, no in-flight
@@ -100,14 +91,13 @@ type uop struct {
 	fwdConsExec int64
 }
 
-// fetchItem is a prepared fetch unit awaiting its fetch cycle.
+// fetchItem is a prepared fetch unit awaiting its fetch cycle: a template
+// and the trace position of the instance fetch makes of it.
 type fetchItem struct {
-	kind      uopKind
+	st        *uopStatic
 	static    int
 	traceIdx  int
-	nRecs     int
 	addr      uint32
-	mg        *minigraph.Instance
 	endsGroup bool // taken control transfer: ends the fetch group
 }
 
@@ -156,6 +146,13 @@ type machine struct {
 	lqUsed, sqUsed int
 	lastWriter     [isa.NumRegs]*uop
 	layout         *minigraph.Layout
+	budget         issueBudget // the per-cycle issue bandwidth and ports
+
+	// The run's decoded uop templates (see static.go): one per static
+	// instruction and one per selected mini-graph instance, refilled by
+	// setupMachine and kept across pooling for their capacity.
+	statics []uopStatic
+	handles []uopStatic
 
 	// Slack profiling: inBlock is false until a basic-block head renames
 	// after start or a flush; headIssue is the issue cycle of the last
@@ -260,7 +257,8 @@ type prerollSnap struct {
 }
 
 // setupMachine readies a pooled machine to simulate tr: config, program,
-// trace, layout, observers, and predictors reset to their post-New state.
+// trace, layout, uop templates, observers, and predictors reset to their
+// post-New state.
 // A sampled window's caller then warms m.predictors, which must happen after
 // setup because the warm-up places instructions through the machine's
 // layout. warmCopy says the caller overwrites the predictors whole with an
@@ -289,14 +287,11 @@ func setupMachine(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *
 	m.prof = prof
 	m.recycle = !noRecycle
 	if mg.Enabled() {
-		m.layout = mg.Layout
-		if m.layout == nil {
-			if m.layoutP == p && m.layoutSel == mg.Selection {
-				m.layout = m.layoutC
-			} else {
-				m.layout = minigraph.NewLayout(p, mg.Selection)
-				m.layoutP, m.layoutSel, m.layoutC = p, mg.Selection, m.layout
-			}
+		if m.layoutP == p && m.layoutSel == mg.Selection {
+			m.layout = m.layoutC
+		} else {
+			m.layout = minigraph.NewLayout(p, mg.Selection)
+			m.layoutP, m.layoutSel, m.layoutC = p, mg.Selection, m.layout
 		}
 		m.mon = newMGMonitor(&mg, mg.Selection.NumTemplates, &m.stats)
 		if watch != nil {
@@ -308,6 +303,7 @@ func setupMachine(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *
 		m.layout = minigraph.IdentityLayout(p)
 		m.layoutP, m.layoutSel, m.layoutC = p, nil, m.layout
 	}
+	m.decodeStatics(p, mg.Selection)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
@@ -445,7 +441,7 @@ func (m *machine) commit() {
 		if u.isStore {
 			m.sqUsed--
 			removeInflight(&m.inflightStores, u)
-			m.ss.CompleteStore(m.storePC(u), u.seq)
+			m.ss.CompleteStore(u.memPC, u.seq)
 			// The store's write updates cache state at commit.
 			m.hier.AccessD(m.cycle, u.memAddr, true)
 		}
@@ -532,16 +528,6 @@ func (m *machine) findInflightStore(tag int64) *uop {
 	return nil
 }
 
-// storePC returns the PC used for StoreSets indexing of u's store.
-func (m *machine) storePC(u *uop) uint32 {
-	if u.kind == kindHandle {
-		return prog.PCOf(u.static + u.mg.Cand.MemIdx)
-	}
-	return prog.PCOf(u.static)
-}
-
-func (m *machine) loadPC(u *uop) uint32 { return m.storePC(u) }
-
 // --- branch resolution / fetch unblocking ---
 
 func (m *machine) resolvePendingBranch() {
@@ -567,7 +553,7 @@ func (m *machine) resolvePendingBranch() {
 
 func (m *machine) issue() {
 	h := &m.hot
-	bud := m.newIssueBudget()
+	bud := m.budget
 	kept := m.iq[:0]
 	for qi := 0; qi < len(m.iq); qi++ {
 		u := m.iq[qi]
@@ -712,7 +698,6 @@ func (m *machine) execute(u *uop) {
 func (m *machine) executeSingleton(u *uop, exec int64) {
 	h := &m.hot
 	s := u.slot
-	in := m.p.Code[u.static]
 	switch {
 	case u.isLoad:
 		u.memCycle = exec + 1 // address generation
@@ -736,9 +721,8 @@ func (m *machine) executeSingleton(u *uop, exec int64) {
 		h.execDone[s] = exec + 1
 		h.readyOut[s] = exec + 1 // calls write the return address
 	default:
-		lat := int64(isa.Latency(in.Op))
-		h.readyOut[s] = exec + lat
-		h.execDone[s] = exec + lat
+		h.readyOut[s] = exec + u.lat
+		h.execDone[s] = exec + u.lat
 	}
 }
 
@@ -753,13 +737,12 @@ func (m *machine) executeHandle(u *uop, exec int64, lastReady int64, lastIdx int
 	h.readyOut[s] = 0 // stays 0 for output-less handles (pipetrace reads this)
 	var maxDone int64
 	var lats [4]int64 // per-constituent latencies (pipetrace attribution)
-	for k := 0; k < u.mg.N; k++ {
-		in := m.p.Code[u.static+k]
+	for k := 0; k < u.nRecs; k++ {
 		ek := t + int64(m.cfg.IssueToExec)
 		var rk int64
 		var lat int64
-		switch {
-		case in.IsLoad():
+		switch u.cons[k].kind {
+		case consLoad:
 			u.memCycle = ek + 1
 			rk = m.loadAccess(u, u.memCycle)
 			lat = rk - ek
@@ -769,16 +752,16 @@ func (m *machine) executeHandle(u *uop, exec int64, lastReady int64, lastIdx int
 					u.memLat = 0
 				}
 			}
-		case in.IsStore():
+		case consStore:
 			h.resolve[s] = ek
 			rk = ek
 			lat = 1
-		case in.IsBranch():
+		case consBranch:
 			rk = ek + 1
 			h.resolve[s] = rk
 			lat = 1
 		default:
-			lat = int64(isa.Latency(in.Op))
+			lat = int64(u.cons[k].lat)
 			rk = ek + lat
 		}
 		if k == c.OutputIdx {
@@ -806,7 +789,7 @@ func (m *machine) executeHandle(u *uop, exec int64, lastReady int64, lastIdx int
 	if m.emitUops {
 		var f [4]int64
 		var maxF int64
-		for k := 0; k < u.mg.N; k++ {
+		for k := 0; k < u.nRecs; k++ {
 			var start int64
 			deps := c.InternalDeps(k)
 			for j := 0; j < k; j++ {
@@ -985,9 +968,9 @@ func (m *machine) checkViolations() {
 		m.watch.Trace.Event(m.cycle, obs.EvFlush, -1, fire.load.seq)
 	}
 	if debugViolationHook != nil {
-		debugViolationHook(m.loadPC(fire.load), m.storePC(fire.store))
+		debugViolationHook(fire.load.memPC, fire.store.memPC)
 	}
-	m.ss.Violation(m.loadPC(fire.load), m.storePC(fire.store))
+	m.ss.Violation(fire.load.memPC, fire.store.memPC)
 	m.flushFrom(fire.load)
 }
 
@@ -1035,7 +1018,7 @@ func (m *machine) flushFrom(v *uop) {
 		if u.isStore {
 			m.sqUsed--
 			removeInflight(&m.inflightStores, u)
-			m.ss.CompleteStore(m.storePC(u), u.seq)
+			m.ss.CompleteStore(u.memPC, u.seq)
 		}
 	}
 	m.window.truncBack(cut)
@@ -1123,7 +1106,7 @@ func (m *machine) rename() {
 		if u.isLoad {
 			m.lqUsed++
 			m.inflightLoads.pushBack(u)
-			if tag := m.ss.RenameLoad(m.loadPC(u)); tag >= 0 {
+			if tag := m.ss.RenameLoad(u.memPC); tag >= 0 {
 				if st := m.findInflightStore(tag); st != nil {
 					h.waitSlot[s] = st.slot
 				}
@@ -1132,7 +1115,7 @@ func (m *machine) rename() {
 		if u.isStore {
 			m.sqUsed++
 			m.inflightStores.pushBack(u)
-			if prev := m.ss.RenameStore(m.storePC(u), u.seq); prev >= 0 {
+			if prev := m.ss.RenameStore(u.memPC, u.seq); prev >= 0 {
 				if st := m.findInflightStore(prev); st != nil {
 					h.waitSlot[s] = st.slot
 				}
@@ -1143,7 +1126,7 @@ func (m *machine) rename() {
 		// times are relative to the issue of the last head renamed before
 		// it, which is also the last head committed before it.
 		if m.prof != nil && u.kind != kindOverheadJump {
-			if m.p.Blocks[m.p.BlockOf[u.static]].Start == u.static || !m.inBlock {
+			if u.blockHead || !m.inBlock {
 				u.bbHead = true
 				m.inBlock = true
 			}
@@ -1168,15 +1151,16 @@ func (m *machine) fetch() {
 		return
 	}
 	var curLine uint32 = math.MaxUint32
+	var it fetchItem
 	for n := 0; n < m.cfg.FetchWidth; n++ {
-		var it fetchItem
-		direct := false // it came straight from prepareNext, not the ring
-		if m.fetchPending.len() > 0 {
-			it = m.fetchPending.at(0)
-		} else if m.prepareNext(&it) {
-			direct = true
-		} else {
+		if m.fetchPending.len() == 0 && !m.prepareNext(&it) {
 			return
+		}
+		// Prepared items wait in the pending ring only when prepareNext
+		// queued an outlined expansion or an I-cache miss returned one.
+		queued := m.fetchPending.len() > 0
+		if queued {
+			it = m.fetchPending.at(0)
 		}
 		// Instruction cache access, one per line per cycle.
 		line := it.addr >> 5
@@ -1185,17 +1169,17 @@ func (m *machine) fetch() {
 			if done > m.cycle+int64(m.cfg.Hier.L1I.Latency) {
 				// Miss: stall fetch until the line arrives.
 				m.fetchStall = done
-				if direct {
+				if !queued {
 					m.fetchPending.pushFront(it)
 				}
 				return
 			}
 			curLine = line
 		}
-		if !direct {
+		if queued {
 			m.fetchPending.popFront()
 		}
-		u := m.makeUop(it)
+		u := m.makeUop(&it)
 		m.fetchQ.pushBack(u)
 		if u.mispred {
 			m.pendingBranch = u
@@ -1207,52 +1191,40 @@ func (m *machine) fetch() {
 	}
 }
 
-// prepareNext converts the next trace record(s) into fetch items, writing
-// the first into *it — the common singleton/handle case never round-trips
-// through the pending ring (or a return-value copy) — and queueing any
-// remainder (outlined mini-graph expansions). Returns false when the trace
-// is exhausted. Only called with an empty pending ring.
+// prepareNext turns the next trace record(s) into fetch work: the common
+// singleton or handle straight into *it, field by field, or a disabled
+// mini-graph's expansion into the pending ring (leaving *it alone).
+// Returns false when the trace is exhausted. Only called with an empty
+// pending ring.
 func (m *machine) prepareNext(it *fetchItem) bool {
 	if m.fetchIdx >= len(m.tr) {
 		return false
 	}
-	rec := m.tr[m.fetchIdx]
+	rec := &m.tr[m.fetchIdx]
 	static := int(rec.Index)
-
-	if m.mgc.Enabled() {
-		if inst := m.mgc.Selection.InstanceAt(static); inst != nil && m.fetchIdx+inst.N <= len(m.tr) {
-			if m.mon != nil && m.mon.isDisabled(inst.Template) {
-				if m.mgc.IdealOutlining {
-					m.prepareInlineSingletons(inst)
-				} else {
-					m.prepareOutlined(inst)
-				}
-				*it = m.fetchPending.popFront()
-				return true
+	st := &m.statics[static]
+	if h := st.handle; h != nil && m.fetchIdx+h.nRecs <= len(m.tr) {
+		if m.mon != nil && m.mon.isDisabled(h.mg.Template) {
+			if m.mgc.IdealOutlining {
+				m.prepareInlineSingletons(h.mg)
+			} else {
+				m.prepareOutlined(h.mg)
 			}
-			last := m.tr[m.fetchIdx+inst.N-1]
-			*it = fetchItem{
-				kind:      kindHandle,
-				static:    static,
-				traceIdx:  m.fetchIdx,
-				nRecs:     inst.N,
-				addr:      m.layout.InlineAddr(static),
-				mg:        inst,
-				endsGroup: inst.Cand.CtrlIdx >= 0 && last.Taken,
-			}
-			m.fetchIdx += inst.N
 			return true
 		}
+		it.st = h
+		it.static = static
+		it.traceIdx = m.fetchIdx
+		it.addr = h.addr
+		it.endsGroup = h.hasBranch && m.tr[m.fetchIdx+h.ctrlOff].Taken
+		m.fetchIdx += h.nRecs
+		return true
 	}
-
-	*it = fetchItem{
-		kind:      kindSingleton,
-		static:    static,
-		traceIdx:  m.fetchIdx,
-		nRecs:     1,
-		addr:      m.layout.InlineAddr(static),
-		endsGroup: rec.Taken,
-	}
+	it.st = st
+	it.static = static
+	it.traceIdx = m.fetchIdx
+	it.addr = st.addr
+	it.endsGroup = rec.Taken
 	m.fetchIdx++
 	return true
 }
@@ -1263,12 +1235,10 @@ func (m *machine) prepareNext(it *fetchItem) bool {
 func (m *machine) prepareOutlined(inst *minigraph.Instance) {
 	start := inst.Start
 	m.fetchPending.pushBack(fetchItem{
-		kind:      kindOverheadJump,
+		st:        &jumpStatic,
 		static:    start,
 		traceIdx:  m.fetchIdx,
-		nRecs:     0,
 		addr:      m.layout.InlineAddr(start),
-		mg:        inst,
 		endsGroup: true, // the outlining jump is always taken
 	})
 	lastTaken := false
@@ -1279,22 +1249,19 @@ func (m *machine) prepareOutlined(inst *minigraph.Instance) {
 			lastTaken = rec.Taken
 		}
 		m.fetchPending.pushBack(fetchItem{
-			kind:      kindSingleton,
+			st:        &m.statics[inst.Start+k],
 			static:    inst.Start + k,
 			traceIdx:  m.fetchIdx + k,
-			nRecs:     1,
 			addr:      m.layout.OutlineAddr(inst.Start + k),
 			endsGroup: ends,
 		})
 	}
 	if !lastTaken {
 		m.fetchPending.pushBack(fetchItem{
-			kind:      kindOverheadJump,
+			st:        &jumpStatic,
 			static:    start,
 			traceIdx:  m.fetchIdx + inst.N - 1,
-			nRecs:     0,
 			addr:      m.layout.JumpBackAddr(start),
-			mg:        inst,
 			endsGroup: true,
 		})
 	}
@@ -1307,10 +1274,9 @@ func (m *machine) prepareInlineSingletons(inst *minigraph.Instance) {
 	for k := 0; k < inst.N; k++ {
 		rec := m.tr[m.fetchIdx+k]
 		m.fetchPending.pushBack(fetchItem{
-			kind:      kindSingleton,
+			st:        &m.statics[inst.Start+k],
 			static:    inst.Start + k,
 			traceIdx:  m.fetchIdx + k,
-			nRecs:     1,
 			addr:      m.layout.InlineAddr(inst.Start), // share the handle slot
 			endsGroup: rec.Taken,
 		})
@@ -1346,16 +1312,16 @@ func (m *machine) newUop() *uop {
 	return &slab[0]
 }
 
-// makeUop builds the uop for a fetch item, running branch prediction, and
+// makeUop instantiates the fetch item's template as a uop, adding the
+// trace record's memory address and running branch prediction, and
 // re-initializes the uop's hotState slot.
-func (m *machine) makeUop(it fetchItem) *uop {
+func (m *machine) makeUop(it *fetchItem) *uop {
+	st := it.st
 	u := m.newUop()
+	u.uopStatic = st
 	u.seq = m.seq
 	u.traceIdx = it.traceIdx
-	u.nRecs = it.nRecs
 	u.static = it.static
-	u.kind = it.kind
-	u.mg = it.mg
 	u.fetchCycle = m.cycle
 	u.renameReady = m.cycle + int64(m.cfg.FetchToRename)
 	u.renameCycle = -1
@@ -1377,131 +1343,40 @@ func (m *machine) makeUop(it fetchItem) *uop {
 	h.srcs[s] = [3]int32{-1, -1, -1}
 	h.squashed[s] = false
 	h.committed[s] = false
+	h.meta[s] = st.meta
 
-	switch it.kind {
-	case kindOverheadJump:
-		u.class = isa.ClassJump
-		u.op = isa.OpBr
-		m.predictOverheadJump(u, it)
-		h.meta[s] = packMeta(u)
-		return u
-	case kindHandle:
-		c := it.mg.Cand
-		u.class = isa.ClassSimple
-		u.op = m.p.Code[it.static].Op
-		for i, r := range c.ExternalIns {
-			u.srcReg[i] = r
-		}
-		u.nSrc = len(c.ExternalIns)
-		if c.OutputReg != isa.NoReg {
-			u.writesReg = true
-			u.dstReg = c.OutputReg
-		}
-		if c.MemIdx >= 0 {
-			in := m.p.Code[it.static+c.MemIdx]
-			u.isLoad = in.IsLoad()
-			u.isStore = in.IsStore()
-			u.memAddr = m.tr[it.traceIdx+c.MemIdx].Addr
-		}
-		if c.CtrlIdx >= 0 {
-			u.hasBranch = true
-			brStatic := it.static + c.CtrlIdx
-			brRec := m.tr[it.traceIdx+c.CtrlIdx]
-			m.predictBranch(u, brStatic, brRec)
-		}
-		h.meta[s] = packMeta(u)
-		return u
+	if st.isLoad || st.isStore {
+		u.memAddr = m.tr[it.traceIdx+st.memOff].Addr
 	}
-
-	in := m.p.Code[it.static]
-	rec := m.tr[it.traceIdx]
-	u.op = in.Op
-	u.class = isa.ClassOf(in.Op)
-	u.nSrc = len(in.AppendSources(u.srcReg[:0]))
-	if in.WritesReg() {
-		u.writesReg = true
-		u.dstReg = in.Rd
+	switch {
+	case st.hasBranch:
+		m.predictBranch(u, &m.tr[it.traceIdx+st.ctrlOff])
+	case st.kind == kindOverheadJump:
+		m.predictOverheadJump(it.addr)
 	}
-	if in.IsMem() {
-		u.isLoad = in.IsLoad()
-		u.isStore = in.IsStore()
-		u.memAddr = rec.Addr
-	}
-	if in.IsBranch() {
-		u.hasBranch = true
-		m.predictBranch(u, it.static, rec)
-	}
-	h.meta[s] = packMeta(u)
 	return u
 }
 
-// predictBranch runs the front-end predictors for a control transfer at
-// fetch time and marks the uop mispredicted when the machine would have
-// fetched down the wrong path.
-func (m *machine) predictBranch(u *uop, static int, rec emu.Rec) {
-	in := m.p.Code[static]
-	pc := prog.PCOf(static)
-	actualTaken := rec.Taken
-	u.actualTkn = actualTaken
-	actualNext := int(rec.Next)
-
-	switch {
-	case in.IsCondBranch():
-		pred := m.bp.PredictDirection(pc)
-		m.bp.UpdateDirection(pc, actualTaken)
-		if pred != actualTaken {
-			u.mispred = true
-			return
-		}
-		if actualTaken {
-			m.predictTakenTarget(u, pc, actualNext, false)
-		}
-	case in.Op == isa.OpBr:
-		m.predictTakenTarget(u, pc, actualNext, true)
-	case in.Op == isa.OpJsr:
-		m.bp.PushRAS(prog.PCOf(static + 1))
-		m.predictTakenTarget(u, pc, actualNext, true)
-	case in.Op == isa.OpJsrI:
-		m.bp.PushRAS(prog.PCOf(static + 1))
-		m.predictTakenTarget(u, pc, actualNext, false)
-	case in.IsReturn():
-		top, ok := m.bp.PopRAS()
-		if !ok || (actualNext >= 0 && top != prog.PCOf(actualNext)) {
-			u.mispred = true
-			m.bp.NoteRASWrong()
-			m.stats.RASMispredicts++
-		}
-	default: // indirect jmp
-		m.predictTakenTarget(u, pc, actualNext, false)
-	}
-}
-
-// predictTakenTarget models BTB behavior for a taken transfer. Direct
-// transfers recover a BTB miss at decode (a 2-cycle fetch bubble); indirect
-// transfers mispredict on a BTB miss or wrong target.
-func (m *machine) predictTakenTarget(u *uop, pc uint32, actualNext int, direct bool) {
-	if actualNext < 0 {
-		return
-	}
-	want := prog.PCOf(actualNext)
-	got, ok := m.bp.PredictTarget(pc)
-	m.bp.UpdateTarget(pc, want)
-	if ok && got == want {
-		return
-	}
-	if direct {
-		// Decode-time target computation: small fetch bubble.
+// predictBranch runs u's control transfer through the front-end predictors
+// at fetch time: a BTB miss on a direct target costs a decode bubble, and a
+// transfer the front end would have fetched past down the wrong path marks
+// u mispredicted.
+func (m *machine) predictBranch(u *uop, rec *emu.Rec) {
+	switch trainBranch(m.bp, u.brKind, u.brPC, rec.Taken, int(rec.Next)) {
+	case branchBubble:
 		if m.fetchStall < m.cycle+2 {
 			m.fetchStall = m.cycle + 2
 		}
-		return
+	case branchRASMiss:
+		m.stats.RASMispredicts++
+		u.mispred = true
+	case branchMispredict:
+		u.mispred = true
 	}
-	u.mispred = true
 }
 
-// predictOverheadJump models the outlining jumps: direct, always taken.
-func (m *machine) predictOverheadJump(u *uop, it fetchItem) {
-	pc := it.addr
+// predictOverheadJump models the outlining jump at pc: direct, always taken.
+func (m *machine) predictOverheadJump(pc uint32) {
 	if got, ok := m.bp.PredictTarget(pc); !ok || got == 0 {
 		if m.fetchStall < m.cycle+2 {
 			m.fetchStall = m.cycle + 2

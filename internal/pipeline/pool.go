@@ -49,7 +49,10 @@ func getMachine(cfg Config) *machine {
 
 // putMachine returns a successfully-finished machine to its Config's pool.
 // Per-run references (program, trace, observer, profile, layout) are
-// dropped first so pooling a machine never extends their lifetime.
+// dropped first so pooling a machine never extends their lifetime. The uop
+// template table stays for its capacity: like the layout cache, it pins the
+// last run's selection until the next run refills it or the GC clears the
+// pool.
 func putMachine(m *machine) {
 	if len(m.hot.uops) > poolableSlots {
 		return
@@ -113,6 +116,7 @@ func putPredictors(cfg Config, ps *predictors) {
 func newMachine(cfg Config) *machine {
 	m := &machine{
 		cfg:        cfg,
+		budget:     issueBudgetOf(cfg),
 		predictors: newPredictors(cfg),
 		freeRegs:   cfg.PhysRegs - isa.NumRegs,
 

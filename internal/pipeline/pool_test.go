@@ -7,6 +7,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/minigraph"
 	"repro/internal/obs"
+	"repro/internal/prog"
 	"repro/internal/slack"
 	"repro/internal/workload"
 )
@@ -100,6 +101,117 @@ func TestMachineReuseAcrossConfigs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMachineReuseAcrossPrograms: a pooled machine keeps its uop template
+// table (and layout cache) from the last run, which may have simulated
+// another program under another selection. Alternating two programs of
+// different static size on one Config, every run — each under a freshly
+// built Selection, as a sweep's tasks select anew — must match the same
+// scenario on a fresh machine, stats and pipetrace bytes alike. A stale,
+// undersized or unrefilled table shows up here.
+func TestMachineReuseAcrossPrograms(t *testing.T) {
+	type program struct {
+		p   *prog.Program
+		tr  []emu.Rec
+		sel func() *minigraph.Selection
+	}
+	var progs []program
+	for _, name := range []string{"intx.qsort", "comm.crc32"} {
+		w := workload.Find(name)
+		if w == nil {
+			t.Fatalf("workload %s not found", name)
+		}
+		p, _, _, err := w.Build("small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := emu.Run(p, emu.Options{CollectTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		freq := minigraph.Frequencies(p.NumInstrs(), traceIndices(res.Trace))
+		cands := minigraph.Enumerate(p, minigraph.DefaultLimits())
+		sel := func() *minigraph.Selection {
+			return minigraph.Select(p, cands, freq, minigraph.DefaultSelectConfig())
+		}
+		if len(sel().Instances) == 0 {
+			t.Fatalf("%s: empty selection", name)
+		}
+		progs = append(progs, program{p, res.Trace, sel})
+	}
+	if progs[0].p.NumInstrs() == progs[1].p.NumInstrs() {
+		t.Fatal("the two programs must differ in static size")
+	}
+	scenarios := []struct {
+		name string
+		mg   func(*minigraph.Selection) MGConfig
+	}{
+		{"singleton", func(*minigraph.Selection) MGConfig { return MGConfig{} }},
+		{"selection", func(s *minigraph.Selection) MGConfig { return MGConfig{Selection: s} }},
+		{"disable-all", func(s *minigraph.Selection) MGConfig { return MGConfig{Selection: s, DisableAll: true} }},
+		{"ideal-outlining", func(s *minigraph.Selection) MGConfig {
+			return MGConfig{Selection: s, DisableAll: true, IdealOutlining: true}
+		}},
+	}
+	cfg := Reduced()
+	run := func(pr program, mg MGConfig, k SchedKind) (Stats, []byte) {
+		var buf bytes.Buffer
+		watch := &obs.Observer{Trace: obs.NewPipetrace(&buf)}
+		st, err := runSched(pr.p, pr.tr, cfg, mg, nil, watch, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := watch.Trace.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return *st, buf.Bytes()
+	}
+	for _, k := range []SchedKind{SchedEvent, SchedScan} {
+		t.Run(k.String(), func(t *testing.T) {
+			type result struct {
+				st    Stats
+				trace []byte
+			}
+			// References: every scenario on a fresh machine (emptying the
+			// Config's pool forces getMachine to build one).
+			want := make([][]result, len(progs))
+			for pi, pr := range progs {
+				for _, sc := range scenarios {
+					machinePools.Delete(cfg)
+					st, tr := run(pr, sc.mg(pr.sel()), k)
+					want[pi] = append(want[pi], result{st, tr})
+				}
+			}
+			// Alternate the programs, so each pooled run follows one of the
+			// other program, with a new Selection every run.
+			for round := 0; round < 2; round++ {
+				for si, sc := range scenarios {
+					for pi, pr := range progs {
+						st, tr := run(pr, sc.mg(pr.sel()), k)
+						w := want[pi][si]
+						if st != w.st {
+							t.Errorf("%s %s round %d: stats diverge from a fresh machine:\n fresh  %+v\n pooled %+v",
+								pr.p.Name, sc.name, round, w.st, st)
+						}
+						if !bytes.Equal(tr, w.trace) {
+							t.Errorf("%s %s round %d: pipetrace diverges from a fresh machine at byte %d",
+								pr.p.Name, sc.name, round, firstDiff(tr, w.trace))
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// traceIndices returns the static index of every trace record.
+func traceIndices(tr []emu.Rec) []int32 {
+	idx := make([]int32, len(tr))
+	for i, r := range tr {
+		idx[i] = r.Index
+	}
+	return idx
 }
 
 // TestProfilingAllocsFlat: a warm, pooled profiling run recycles its uops

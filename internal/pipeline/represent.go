@@ -760,6 +760,9 @@ func runRepWindows(ctx context.Context, p *prog.Program, tr []emu.Rec, cfg Confi
 			return repRun{i: i, err: err}
 		}
 		if ws == nil {
+			// The pass outlives m, which returns to the pool when its window
+			// ends. Layouts are immutable, so it may keep m's; it must never
+			// keep m's uop templates, which the machine's next run refills.
 			ws = newWarmReplay(ps, p, m.layout)
 		}
 		for ; pos < w.preStart; pos++ {

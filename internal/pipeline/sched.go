@@ -46,15 +46,18 @@ type issueBudget struct {
 	width, simple, complx, loads, stores, mg, mgMem int
 }
 
-func (m *machine) newIssueBudget() issueBudget {
+// issueBudgetOf is a full cycle's budget on cfg. A machine computes it once
+// (its Config never changes) and both schedulers start every issuing cycle
+// from a copy.
+func issueBudgetOf(cfg Config) issueBudget {
 	return issueBudget{
-		width:  m.cfg.IssueWidth,
-		simple: m.cfg.SimplePorts,
-		complx: m.cfg.ComplexPorts,
-		loads:  m.cfg.LoadPorts,
-		stores: m.cfg.StorePorts,
-		mg:     m.cfg.MaxMGIssue,
-		mgMem:  m.cfg.MaxMemMGIssue,
+		width:  cfg.IssueWidth,
+		simple: cfg.SimplePorts,
+		complx: cfg.ComplexPorts,
+		loads:  cfg.LoadPorts,
+		stores: cfg.StorePorts,
+		mg:     cfg.MaxMGIssue,
+		mgMem:  cfg.MaxMemMGIssue,
 	}
 }
 
@@ -432,7 +435,7 @@ func (m *machine) issueEvent() {
 		(len(m.readyQ) == 0 || m.readyQ[0].wake > m.cycle) {
 		return
 	}
-	bud := m.newIssueBudget()
+	bud := m.budget
 	// Swap readyNext into the candidate scratch: rejects re-append to the
 	// (now empty) other buffer, so no copying either way.
 	cand := m.readyNext

@@ -48,18 +48,18 @@ const (
 	metaNSrcShift       = 6
 )
 
-func packMeta(u *uop) uint8 {
-	b := uint8(u.class) & metaClassMask
-	if u.kind == kindHandle {
+func packMeta(t *uopStatic) uint8 {
+	b := uint8(t.class) & metaClassMask
+	if t.kind == kindHandle {
 		b |= metaHandle
 	}
-	if u.isLoad {
+	if t.isLoad {
 		b |= metaLoad
 	}
-	if u.isStore {
+	if t.isStore {
 		b |= metaStore
 	}
-	return b | uint8(u.nSrc)<<metaNSrcShift
+	return b | uint8(t.nSrc)<<metaNSrcShift
 }
 
 // newHotState sizes every array for capHint slots up front; steady-state

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/emu"
-	"repro/internal/isa"
 	"repro/internal/minigraph"
 	"repro/internal/prog"
 	"repro/internal/storesets"
@@ -18,8 +17,8 @@ import (
 // predictor, BTB, RAS, and store sets — without advancing any timing state.
 // The replay mirrors the access stream the detailed model would have
 // generated (fetch one I-cache access per line transition, loads at their
-// effective address, stores as write-allocating accesses, the exact
-// predictor-update sequence of predictBranch), then clears every stat
+// effective address, stores as write-allocating accesses, control transfers
+// through the detailed front end's own trainBranch), then clears every stat
 // counter so the measured window starts with a hot machine and clean stats.
 //
 // The state a warm-up reaches depends only on the records it replayed, so
@@ -145,44 +144,7 @@ func (ws *warmReplay) add(rec emu.Rec) {
 		}
 		ws.stores[rec.Addr>>2] = warmRecentStore{pos: i, pc: prog.PCOf(static)}
 	case in.IsBranch():
-		ws.branch(static, rec)
+		// The detailed model's fetch trains through the same call.
+		trainBranch(ws.ps.bp, branchKindOf(in), prog.PCOf(static), rec.Taken, int(rec.Next))
 	}
-}
-
-// branch trains the front-end predictors for one control transfer,
-// following predictBranch's update sequence exactly (prediction before
-// update, BTB touched only on the paths the detailed model touches it).
-func (ws *warmReplay) branch(static int, rec emu.Rec) {
-	bp := ws.ps.bp
-	in := ws.p.Code[static]
-	pc := prog.PCOf(static)
-	taken := rec.Taken
-	next := int(rec.Next)
-
-	switch {
-	case in.IsCondBranch():
-		pred := bp.PredictDirection(pc)
-		bp.UpdateDirection(pc, taken)
-		if pred == taken && taken {
-			warmTarget(bp, pc, next)
-		}
-	case in.Op == isa.OpBr:
-		warmTarget(bp, pc, next)
-	case in.Op == isa.OpJsr, in.Op == isa.OpJsrI:
-		bp.PushRAS(prog.PCOf(static + 1))
-		warmTarget(bp, pc, next)
-	case in.IsReturn():
-		bp.PopRAS()
-	default: // indirect jmp
-		warmTarget(bp, pc, next)
-	}
-}
-
-// warmTarget performs the BTB lookup+update pair of predictTakenTarget.
-func warmTarget(bp *bpred.Predictor, pc uint32, next int) {
-	if next < 0 {
-		return
-	}
-	bp.PredictTarget(pc)
-	bp.UpdateTarget(pc, prog.PCOf(next))
 }
