@@ -130,7 +130,10 @@ func TestMachineReuseAcrossPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freq := minigraph.Frequencies(p.NumInstrs(), traceIndices(res.Trace))
+		freq := make([]int64, p.NumInstrs())
+		for _, r := range res.Trace {
+			freq[r.Index]++
+		}
 		cands := minigraph.Enumerate(p, minigraph.DefaultLimits())
 		sel := func() *minigraph.Selection {
 			return minigraph.Select(p, cands, freq, minigraph.DefaultSelectConfig())
@@ -203,15 +206,6 @@ func TestMachineReuseAcrossPrograms(t *testing.T) {
 			}
 		})
 	}
-}
-
-// traceIndices returns the static index of every trace record.
-func traceIndices(tr []emu.Rec) []int32 {
-	idx := make([]int32, len(tr))
-	for i, r := range tr {
-		idx[i] = r.Index
-	}
-	return idx
 }
 
 // TestProfilingAllocsFlat: a warm, pooled profiling run recycles its uops

@@ -162,10 +162,10 @@ func trainTarget(bp *bpred.Predictor, pc uint32, next int, direct bool) branchOu
 	want := prog.PCOf(next)
 	got, ok := bp.PredictTarget(pc)
 	bp.UpdateTarget(pc, want)
-	switch {
-	case ok && got == want:
+	if ok && got == want {
 		return branchHit
-	case direct:
+	}
+	if direct {
 		return branchBubble
 	}
 	return branchMispredict

@@ -144,7 +144,6 @@ func (ws *warmReplay) add(rec emu.Rec) {
 		}
 		ws.stores[rec.Addr>>2] = warmRecentStore{pos: i, pc: prog.PCOf(static)}
 	case in.IsBranch():
-		// The detailed model's fetch trains through the same call.
 		trainBranch(ws.ps.bp, branchKindOf(in), prog.PCOf(static), rec.Taken, int(rec.Next))
 	}
 }
