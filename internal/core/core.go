@@ -30,9 +30,9 @@ type Bench struct {
 	Freq     []int64
 	Cands    []*minigraph.Candidate
 
-	// profiles memoizes slack profiles per machine-configuration
+	// profiles memoizes profiling runs per machine-configuration
 	// fingerprint, deduplicating concurrent computations.
-	profiles *simcache.Cache[simcache.Key, *slack.Profile]
+	profiles *simcache.Cache[simcache.Key, *profileRun]
 	// plans memoizes representative-sampling plans per pipeline.RepPlanKey:
 	// every sampled run of this trace whose machine shares a memory system
 	// and predictor with an earlier one reuses its plan. The cache lives and
@@ -65,7 +65,7 @@ func Prepare(w *workload.Workload, input string) (*Bench, error) {
 		Trace:    res.Trace,
 		Freq:     freq,
 		Cands:    minigraph.Enumerate(p, minigraph.DefaultLimits()),
-		profiles: simcache.Named[simcache.Key, *slack.Profile]("profiles"),
+		profiles: simcache.Named[simcache.Key, *profileRun]("profiles"),
 		plans:    simcache.Named[pipeline.RepPlanKey, *pipeline.RepPlan]("plans"),
 	}, nil
 }
@@ -77,6 +77,14 @@ func PrepareByName(name, input string) (*Bench, error) {
 		return nil, fmt.Errorf("unknown workload %q", name)
 	}
 	return Prepare(w, input)
+}
+
+// profileRun is one slack-profiling run: the profile and the run's timing.
+// The profiler only observes, so the timing equals a plain singleton run's
+// on the same machine (TestProfileGolden checks it for every program).
+type profileRun struct {
+	prof  *slack.Profile
+	stats *pipeline.Stats
 }
 
 // Profile returns the slack profile of a singleton run on cfg, caching by
@@ -91,14 +99,24 @@ func (b *Bench) Profile(cfg pipeline.Config) (*slack.Profile, error) {
 // per-bench profile-cache lookup (and, on a miss, the profiling run)
 // appears as a nested span in exported traces.
 func (b *Bench) ProfileCtx(ctx context.Context, cfg pipeline.Config) (*slack.Profile, error) {
-	prof, _, err := b.profiles.DoCtx(ctx, simcache.Fingerprint(cfg), func(context.Context) (*slack.Profile, error) {
+	pr, _, err := b.profileRunCtx(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pr.prof, nil
+}
+
+// profileRunCtx is ProfileCtx returning the whole profiling run and the
+// cache outcome ("miss" when this call ran it).
+func (b *Bench) profileRunCtx(ctx context.Context, cfg pipeline.Config) (*profileRun, string, error) {
+	return b.profiles.DoCtx(ctx, simcache.Fingerprint(cfg), func(context.Context) (*profileRun, error) {
 		acc := slack.NewAccumulator(b.Prog.Name, b.Prog.NumInstrs())
-		if _, err := pipeline.Run(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, acc); err != nil {
+		st, err := pipeline.Run(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, acc)
+		if err != nil {
 			return nil, fmt.Errorf("profiling %s on %s: %w", b.Prog.Name, cfg.Name, err)
 		}
-		return acc.Profile(), nil
+		return &profileRun{prof: acc.Profile(), stats: st}, nil
 	})
-	return prof, err
 }
 
 // Select applies a selection policy, producing the mini-graph set. prof may
@@ -148,7 +166,12 @@ func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, ch
 // through, so the plan-cache lookup (and, on a miss, the planning) and the
 // sampled run's spans nest under the caller's in exported traces.
 func (b *Bench) RunSampledReportCtx(ctx context.Context, cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
-	mg := mgConfigFor(sel, chosen)
+	return b.runSampled(ctx, cfg, mgConfigFor(sel, chosen), spec)
+}
+
+// runSampled is RunSampledReportCtx on an assembled mini-graph
+// configuration.
+func (b *Bench) runSampled(ctx context.Context, cfg pipeline.Config, mg pipeline.MGConfig, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
 	if !spec.NeedsPlan(len(b.Trace)) {
 		return pipeline.RunSampledReport(ctx, b.Prog, b.Trace, cfg, mg, spec)
 	}

@@ -129,8 +129,11 @@ type Record struct {
 	Series   string `json:"series"` // series label / config+selector identity
 	Input    string `json:"input"`
 
-	// Key is the content-addressed simulation fingerprint (the result-cache
-	// key), tying the record to exactly the configuration that produced it.
+	// Key is the content-addressed fingerprint of the series point
+	// (core.TaskKey: workload, input, policy, profile provenance, machine,
+	// sampling), tying the record to exactly the configuration that
+	// produced it. It names the point, not its simulation: two points whose
+	// selections are equal share one run under different keys.
 	Key   string `json:"key,omitempty"`
 	Cache string `json:"cache,omitempty"` // hit/miss/shared/traced/nocache
 
