@@ -28,9 +28,12 @@ test:
 # critpath integration tests ride along: they drive observed pipeline runs.
 # The scheduler differential dominates this target; give it headroom
 # beyond the default 10m — the race detector slows it an order of
-# magnitude on loaded machines.
+# magnitude on loaded machines. The pipeline package runs alone, ahead of
+# the others: beside internal/core it took 1,325 s of its 1,500 s on a
+# two-vCPU host, and about 1,010 s alone.
 race:
-	$(GO) test -race -timeout 25m ./internal/core ./internal/simcache ./internal/pipeline ./internal/critpath ./internal/ledger ./internal/metrics
+	$(GO) test -race -timeout 25m ./internal/pipeline
+	$(GO) test -race -timeout 25m ./internal/core ./internal/simcache ./internal/critpath ./internal/ledger ./internal/metrics
 
 # End-to-end observability: one observed run, then render + summarize the
 # files it produced; then the same run traced with the binary encoding,
@@ -78,7 +81,8 @@ critpath-smoke:
 # timestamps) and print nothing on success. The second sweep samples
 # (representative windows) on two workers: each sampled run must open its
 # spans under its own task, or concurrent runs interleave on one trace row
-# and the file is invalid.
+# and the file is invalid. The third runs the design-choice ablations on
+# two workers, which must trace like any other sweep.
 metrics-smoke:
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32 -input small -plots=false \
@@ -87,6 +91,9 @@ metrics-smoke:
 	$(GO) run ./cmd/mgreport -exp fig6 -input large -sample-mode rep -workers 2 -plots=false \
 		-only comm.gen06,intx.hashprobe,media.fir -trace-out $$dir/sampled.trace >/dev/null && \
 	$(GO) run ./cmd/mgtrace -spans $$dir/sampled.trace >/dev/null && \
+	$(GO) run ./cmd/mgreport -exp ablation -input small -only comm.crc32,comm.gen01 -workers 2 \
+		-plots=false -trace-out $$dir/ablation.trace >/dev/null && \
+	$(GO) run ./cmd/mgtrace -spans $$dir/ablation.trace >/dev/null && \
 	rm -rf $$dir && echo "metrics-smoke ok"
 
 # Trace-index end to end: an observed binary run must leave a .mgidx

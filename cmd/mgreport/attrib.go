@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
@@ -68,19 +69,12 @@ func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, 
 	if err != nil {
 		return err
 	}
-	if led := core.RunLedger(); led != nil {
-		if aerr := led.Append(ledger.Record{
-			Tool: "mgreport", Sweep: "attrib",
-			Workload: workloadName, Series: sel.Name() + " on " + cfg.Name, Input: input,
-			Key:    core.TaskKey(bench, sel, cfg, input, cfg, nil).Short(),
-			Cache:  "traced",
-			WallMS: float64(time.Since(t0)) / float64(time.Millisecond),
-			Cycles: st.Cycles, Instrs: st.Instrs, Uops: st.Uops,
-			IPC: st.IPC(), UPC: st.UPC(), Coverage: st.Coverage(),
-			Critpath: rep.BucketsByName(),
-		}); aerr != nil {
-			fmt.Fprintln(os.Stderr, "mgreport: ledger:", aerr)
-		}
+	if aerr := core.AppendRecord(ledger.Record{Tool: "mgreport", Sweep: "attrib",
+		Workload: workloadName, Series: sel.Name() + " on " + cfg.Name, Input: input,
+		Key:   core.TaskKey(bench, core.SeriesSpec{Cfg: cfg, Sel: sel}, nil).Short(),
+		Cache: "traced", Critpath: rep.BucketsByName()},
+		time.Since(t0), metrics.Usage{}, st, nil, nil); aerr != nil {
+		fmt.Fprintln(os.Stderr, "mgreport: ledger:", aerr)
 	}
 
 	name := fmt.Sprintf("%s/%s, %s on %s", workloadName, input, sel.Name(), cfg.Name)

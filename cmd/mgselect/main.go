@@ -83,8 +83,7 @@ func main() {
 	t0 := time.Now()
 	// Whole-process deltas: profiling and sampled estimation fan out
 	// across GOMAXPROCS goroutines.
-	cpu0 := metrics.ProcessCPUNanos()
-	gc0 := metrics.GCCycleCount()
+	um := metrics.MarkProcessUsage()
 	ctx, runSpan := metrics.StartSpan(context.Background(), "mgselect.run",
 		metrics.L("workload", *wName), metrics.L("selector", *selName))
 	bench, err := core.PrepareSharedByName(*wName, *input)
@@ -140,29 +139,17 @@ func main() {
 		}
 	}
 	runSpan.End()
-	if led := core.RunLedger(); led != nil {
-		// Selection-only record: Cycles stays 0, so history queries list it
-		// but the compare gate never treats it as a timing point. With
-		// -sample-* the record carries the estimated timing instead, tagged
-		// Estimate so the gate never pairs it with an exact run.
-		rec := ledger.Record{
-			Tool: "mgselect", Workload: *wName, Series: sel.Name(), Input: *input,
-			Cache:    "run",
-			WallMS:   float64(time.Since(t0)) / float64(time.Millisecond),
-			CPUMS:    float64(metrics.ProcessCPUNanos()-cpu0) / 1e6,
-			MaxRSSKB: metrics.MaxRSSKB(),
-			GCCycles: metrics.GCCycleCount() - gc0,
-			Coverage: chosen.Coverage(),
-		}
-		if est != nil {
-			rec.Series = sel.Name() + " on " + cfg.Name
-			rec.Estimate, rec.Sample = true, sample.Summary()
-			rec.Cycles, rec.Instrs, rec.Uops = est.Cycles, est.Instrs, est.Uops
-			rec.IPC, rec.UPC = est.IPC(), est.UPC()
-		}
-		if aerr := led.Append(rec); aerr != nil {
-			fmt.Fprintln(os.Stderr, "mgselect: ledger:", aerr)
-		}
+	// Selection-only record: Cycles stays 0, so history queries list it but
+	// the compare gate never treats it as a timing point, and coverage is
+	// the selection's. With -sample-* the record carries the estimated run
+	// instead, tagged Estimate so the gate never pairs it with an exact run.
+	rec := ledger.Record{Tool: "mgselect", Workload: *wName, Series: sel.Name(),
+		Input: *input, Cache: "run", Coverage: chosen.Coverage()}
+	if est != nil {
+		rec.Series = sel.Name() + " on " + cfg.Name
+	}
+	if aerr := core.AppendRecord(rec, time.Since(t0), um.Since(), est, sample, nil); aerr != nil {
+		fmt.Fprintln(os.Stderr, "mgselect: ledger:", aerr)
 	}
 	if err := drv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "mgselect:", err)

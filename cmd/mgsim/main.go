@@ -97,8 +97,7 @@ func main() {
 	t0 := time.Now()
 	// Whole-process deltas, not per-thread: sampled runs fan out across
 	// GOMAXPROCS goroutines, so a thread CPU clock would undercount.
-	cpu0 := metrics.ProcessCPUNanos()
-	gc0 := metrics.GCCycleCount()
+	um := metrics.MarkProcessUsage()
 	var watch *obs.Observer
 	if o := obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir); o.Active() {
 		base := fmt.Sprintf("%s_%s_%s_%s", *wName, *input, cfg.Name, *selName)
@@ -164,28 +163,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(1)
 	}
-	if led := core.RunLedger(); led != nil {
-		cache := "run"
-		if watch != nil {
-			cache = "traced"
-		}
-		rec := ledger.Record{
-			Tool: "mgsim", Workload: *wName, Series: cfg.Name + "/" + *selName, Input: *input,
-			Key:      core.TaskKey(bench, sel, cfg, "", cfg, sample).Short(),
-			Cache:    cache,
-			WallMS:   float64(time.Since(t0)) / float64(time.Millisecond),
-			CPUMS:    float64(metrics.ProcessCPUNanos()-cpu0) / 1e6,
-			MaxRSSKB: metrics.MaxRSSKB(),
-			GCCycles: metrics.GCCycleCount() - gc0,
-			Cycles:   st.Cycles, Instrs: st.Instrs, Uops: st.Uops,
-			IPC: st.IPC(), UPC: st.UPC(), Coverage: st.Coverage(),
-		}
-		if sample != nil {
-			rec.Estimate, rec.Sample = true, sample.Summary()
-		}
-		if aerr := led.Append(rec); aerr != nil {
-			fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
-		}
+	cache := "run"
+	if watch != nil {
+		cache = "traced"
+	}
+	if aerr := core.AppendRecord(ledger.Record{Tool: "mgsim", Workload: *wName,
+		Series: cfg.Name + "/" + *selName, Input: *input, Cache: cache,
+		Key:   core.TaskKey(bench, core.SeriesSpec{Cfg: cfg, Sel: sel}, sample).Short(),
+		Files: watch.Files()}, time.Since(t0), um.Since(), st, sample, nil); aerr != nil {
+		fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
 	}
 	if err := drv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)

@@ -67,7 +67,6 @@ func DriverFlags() func() (*Driver, error) {
 			EnableMetrics()
 			d.tracer = metrics.NewTracer()
 			metrics.InstallTracer(d.tracer)
-			metrics.SetTraceOut(*traceOut)
 			metrics.SetCPUAccounting(true)
 		}
 		return d, nil

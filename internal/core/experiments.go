@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -98,12 +97,32 @@ func (o Options) workloads() []*workload.Workload {
 // selection policy (nil Sel = singleton execution, no mini-graphs).
 // ProfCfg overrides the profiling configuration (self-trained on the run
 // configuration when nil); ProfInput overrides the profiling input set.
+// Limits and Budget are the candidate-enumeration limits and the MGT
+// template budget the selection runs under; the zero values select the
+// paper's (minigraph.DefaultLimits, DefaultSelectConfig). The design-choice
+// ablations vary them.
 type SeriesSpec struct {
 	Label     string
 	Cfg       pipeline.Config
 	Sel       *selector.Selector
 	ProfCfg   *pipeline.Config
 	ProfInput string
+	Limits    minigraph.Limits
+	Budget    int
+}
+
+func (sp SeriesSpec) limits() minigraph.Limits {
+	if sp.Limits.MaxLen == 0 {
+		return minigraph.DefaultLimits()
+	}
+	return sp.Limits
+}
+
+func (sp SeriesSpec) selectCfg() minigraph.SelectConfig {
+	if sp.Budget == 0 {
+		return minigraph.DefaultSelectConfig()
+	}
+	return minigraph.SelectConfig{TemplateBudget: sp.Budget}
 }
 
 // SweepResult carries one experiment's outcome: performance relative to the
@@ -182,7 +201,6 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	}
 	vals := make([][2]float64, len(tasks)) // perf, coverage per task
 	errs := make([]error, len(tasks))
-	meta := make([]obs.ManifestTask, len(tasks))
 	pending := make([]int32, len(ws)) // specs left per workload (progress)
 	for i := range pending {
 		pending[i] = int32(len(specs))
@@ -236,23 +254,16 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 				pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
 					r, err = evalSpec(ctx, w, opts.input(), sp, opts.Obs, opts.Sample, profiled)
 				})
-				use := um.Since()
+				d := taskDone{index: ti, workload: w.Name, series: sp.Label, worker: k,
+					wall: time.Since(t0), use: um.Since(), specResult: r, err: err}
 				if metrics.CPUAccountingOn() {
-					span.SetCPUNanos(use.CPUNanos)
+					span.SetCPUNanos(d.use.CPUNanos)
 				}
 				span.SetAttr("cache", r.outcome)
 				span.End()
 				vals[ti] = [2]float64{r.perf, r.cov}
 				errs[ti] = err
-				meta[ti] = manifestTask(w.Name, sp.Label, k, t0, r.outcome, r.files, r.idx, err)
-				appendTaskRecord(title, w.Name, sp.Label, opts.input(), r.key, r.stats, r.outcome, t0, err, opts.Sample, use)
-				track.TaskDone(ti, r.outcome, err)
-				noteTaskMetrics(meta[ti])
-				if l := tlog(); l != nil {
-					l.Info("task.finish", "sweep", title, "workload", w.Name,
-						"series", sp.Label, "worker", k,
-						"wall_ms", meta[ti].WallMS, "cache", r.outcome)
-				}
+				finishTask(title, opts, track, d)
 				if atomic.AddInt32(&pending[t.wi], -1) == 0 && opts.Progress != nil {
 					mu.Lock()
 					fmt.Fprintf(opts.Progress, "done %s\n", w.Name)
@@ -284,67 +295,11 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 		perfSeries[t.si].Add(ws[t.wi].Name, vals[ti][0])
 		covSeries[t.si].Add(ws[t.wi].Name, vals[ti][1])
 	}
-	if err := writeSweepManifest(title, opts, started, meta); err != nil {
-		return nil, err
-	}
 	if l := tlog(); l != nil {
 		l.Info("sweep.finish", "title", title, "tasks", len(tasks),
 			"wall_ms", float64(time.Since(started))/float64(time.Millisecond))
 	}
 	return res, nil
-}
-
-// manifestTask assembles one manifest entry from a finished task.
-func manifestTask(workload, series string, worker int, started time.Time, outcome string, files []string, idx *obs.IndexInfo, err error) obs.ManifestTask {
-	mt := obs.ManifestTask{
-		Workload: workload,
-		Series:   series,
-		Worker:   worker,
-		WallMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		Cache:    outcome,
-		Files:    files,
-		Index:    idx,
-	}
-	if err != nil {
-		mt.Error = err.Error()
-	}
-	return mt
-}
-
-// writeSweepManifest writes the run manifest into the observability
-// directory; a no-op when observability is off.
-func writeSweepManifest(title string, opts Options, started time.Time, tasks []obs.ManifestTask) error {
-	if !opts.Obs.Active() {
-		return nil
-	}
-	m := &obs.Manifest{
-		Tool:    "sweep",
-		Title:   title,
-		Started: started.UTC().Format(time.RFC3339),
-		WallMS:  float64(time.Since(started)) / float64(time.Millisecond),
-		Input:   opts.input(),
-		Workers: opts.workers(),
-		Flags: map[string]string{
-			"pipetrace":     fmt.Sprint(opts.Obs.Pipetrace),
-			"pipetrace-bin": fmt.Sprint(opts.Obs.PipetraceBin),
-			"intervals":     fmt.Sprint(opts.Obs.IntervalEvery),
-			"index-every":   fmt.Sprint(opts.Obs.IndexEvery),
-			"nocache":       fmt.Sprint(benchCache.Disabled()),
-			"sample":        sampleFlag(opts.Sample),
-		},
-		Spans: metrics.TraceOut(),
-		Tasks: tasks,
-	}
-	return obs.WriteManifest(filepath.Join(opts.Obs.Dir, obs.Sanitize(title)+".manifest.json"), m)
-}
-
-// sampleFlag renders the sweep's sampling spec for the manifest ("off" at
-// full detail).
-func sampleFlag(s *pipeline.SampleSpec) string {
-	if s == nil {
-		return "off"
-	}
-	return s.Summary()
 }
 
 // profCfgOf resolves a spec's profiling configuration (self-trained on the
@@ -423,13 +378,12 @@ func profileJobs(w *workload.Workload, input string, specs []SeriesSpec) []func(
 
 // specResult carries everything one evaluated series point produces:
 // the report values (relative performance, coverage), the raw simulation
-// stats and cache key for the run ledger, and the cache outcome plus
+// stats and task key for the run ledger, and the cache outcome plus
 // observability files for telemetry.
 type specResult struct {
 	perf, cov float64
 	outcome   string
 	files     []string
-	idx       *obs.IndexInfo
 	stats     *pipeline.Stats
 	key       simcache.Key
 }
@@ -444,7 +398,7 @@ func evalSpec(ctx context.Context, w *workload.Workload, input string, sp Series
 	if err != nil {
 		return r, err
 	}
-	r.key = TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, sample)
+	r.key = TaskKey(bench, sp, sample)
 	// An exact run without mini-graphs is the run a slack profile makes on
 	// cfg. If the sweep profiles cfg anyway, take that profile's run,
 	// starting it here if its job has not started yet, so the runs a sweep
@@ -473,14 +427,13 @@ func evalSpec(ctx context.Context, w *workload.Workload, input string, sp Series
 	var st *pipeline.Stats
 	switch {
 	case o.Active():
-		st, r.files, r.idx, err = runSpecObserved(ctx, bench, sp, o)
+		st, r.files, err = runSpecObserved(ctx, bench, sp, o)
 		r.outcome = cacheTraced
 	case sp.Sel == nil:
 		st, r.outcome, err = run(sp.Cfg, pipeline.MGConfig{})
 	default:
 		var chosen *minigraph.Selection
-		chosen, err = selectionFor(ctx, bench, sp.Sel, profCfgOf(sp), sp.ProfInput,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+		chosen, err = selectionFor(ctx, bench, sp)
 		if err == nil {
 			st, r.outcome, err = run(sp.Cfg, mgConfigFor(sp.Sel, chosen))
 		}
@@ -496,12 +449,13 @@ func evalSpec(ctx context.Context, w *workload.Workload, input string, sp Series
 
 // runSpecObserved runs one series point with an observer attached,
 // bypassing the result cache (the trace is a side effect a cache hit
-// would swallow). Selection still goes through the shared caches; only the
-// final timing run is re-executed.
-func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Options) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
+// would swallow), and returns the names of the files the observer wrote.
+// Selection still goes through the shared caches; only the final timing
+// run is re-executed.
+func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Options) (*pipeline.Stats, []string, error) {
 	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var st *pipeline.Stats
 	if sp.Sel == nil {
@@ -511,8 +465,7 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 		span.End()
 	} else {
 		var chosen *minigraph.Selection
-		chosen, err = selectionFor(ctx, b, sp.Sel, profCfgOf(sp), sp.ProfInput,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+		chosen, err = selectionFor(ctx, b, sp)
 		if err == nil {
 			_, span := metrics.StartSpan(ctx, "simulate",
 				metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name),
@@ -524,10 +477,7 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 	if cerr := watch.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return nil, watch.Files(), watch.IndexInfo(), err
-	}
-	return st, watch.Files(), watch.IndexInfo(), nil
+	return st, watch.Files(), err
 }
 
 // --- Figure/table drivers ---

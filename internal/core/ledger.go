@@ -8,13 +8,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/simcache"
 )
 
-// This file bridges the sweep engine to the persistent run ledger. The
-// ledger follows the telemetry idiom: a process-wide atomic pointer that
-// is nil by default, so recording costs one atomic load when off and the
-// simulation paths stay byte-identical either way.
+// This file bridges the sweep engine and the driver commands to the
+// persistent run ledger. The ledger follows the telemetry idiom: a
+// process-wide atomic pointer that is nil by default, so recording costs
+// one atomic load when off and the simulation paths stay byte-identical
+// either way.
 
 // runLedger is the installed run-history ledger; nil disables recording.
 var runLedger atomic.Pointer[ledger.Ledger]
@@ -33,42 +33,30 @@ func SetLedger(l *ledger.Ledger) {
 // off.
 func RunLedger() *ledger.Ledger { return runLedger.Load() }
 
-// appendTaskRecord writes one finished sweep task into the run ledger; a
-// no-op when no ledger is installed. Append failures are reported through
-// telemetry rather than failing the sweep: history is an observability
-// concern, never a correctness one.
-func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, st *pipeline.Stats, outcome string, started time.Time, err error, sample *pipeline.SampleSpec, use metrics.Usage) {
+// AppendRecord appends one finished task to the installed run ledger; a
+// no-op when none is installed. r names the task (tool, sweep, workload,
+// series, input, key, cache outcome, files, attribution); AppendRecord
+// fills in what was measured: the wall time, the resources consumed, the
+// run's stats when st is non-nil, the sampling spec that makes them
+// estimates when sample is non-nil, and err. Sweep tasks and the
+// single-run drivers all record through it.
+func AppendRecord(r ledger.Record, wall time.Duration, use metrics.Usage, st *pipeline.Stats, sample *pipeline.SampleSpec, err error) error {
 	l := runLedger.Load()
 	if l == nil {
-		return
+		return nil
 	}
-	r := ledger.Record{
-		Tool:     "sweep",
-		Sweep:    sweep,
-		Workload: workload,
-		Series:   series,
-		Input:    input,
-		Key:      key.Short(),
-		Cache:    outcome,
-		WallMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		CPUMS:    float64(use.CPUNanos) / 1e6,
-		MaxRSSKB: use.MaxRSSKB,
-		GCCycles: use.GCCycles,
-	}
-	if sample != nil {
-		r.Estimate = true
-		r.Sample = sample.Summary()
-	}
+	r.WallMS = float64(wall) / float64(time.Millisecond)
+	r.CPUMS = float64(use.CPUNanos) / 1e6
+	r.MaxRSSKB, r.GCCycles = use.MaxRSSKB, use.GCCycles
 	if st != nil {
 		r.Cycles, r.Instrs, r.Uops = st.Cycles, st.Instrs, st.Uops
 		r.IPC, r.UPC, r.Coverage = st.IPC(), st.UPC(), st.Coverage()
 	}
+	if sample != nil {
+		r.Estimate, r.Sample = true, sample.Summary()
+	}
 	if err != nil {
 		r.Error = err.Error()
 	}
-	if werr := l.Append(r); werr != nil {
-		if log := tlog(); log != nil {
-			log.Warn("ledger.append", "error", werr)
-		}
-	}
+	return l.Append(r)
 }

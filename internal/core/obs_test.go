@@ -3,9 +3,9 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
@@ -13,10 +13,17 @@ import (
 
 // obsSweep runs a tiny observed sweep (one workload, a singleton series and
 // a Slack-Dynamic series) and returns the observability files it produced,
-// keyed by name, minus the manifest (whose wall times legitimately vary).
+// keyed by name. Each task's run-ledger record must name the files it wrote.
 func obsSweep(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
+	l, err := ledger.Open(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	SetLedger(l)
+	defer SetLedger(nil)
 	opts := Options{
 		Input:     "small",
 		Workloads: []string{"comm.crc32"},
@@ -24,7 +31,7 @@ func obsSweep(t *testing.T, workers int) map[string][]byte {
 		Obs:       &obs.Options{Dir: dir, Pipetrace: true, IntervalEvery: 500},
 	}
 	red := pipeline.Reduced()
-	_, err := RunSweep("obs determinism", opts, []SeriesSpec{
+	_, err = RunSweep("obs determinism", opts, []SeriesSpec{
 		{Label: "no-mg", Cfg: red},
 		{Label: "Slack-Dynamic", Cfg: red, Sel: selector.SlackDynamic()},
 	})
@@ -32,19 +39,19 @@ func obsSweep(t *testing.T, workers int) map[string][]byte {
 		t.Fatal(err)
 	}
 
-	man, err := obs.ReadManifest(filepath.Join(dir, "obs_determinism.manifest.json"))
+	recs, _, err := ledger.Read(l.Path())
 	if err != nil {
-		t.Fatalf("manifest: %v", err)
+		t.Fatal(err)
 	}
-	if len(man.Tasks) != 2 {
-		t.Fatalf("manifest has %d tasks, want 2", len(man.Tasks))
+	if len(recs) != 2 {
+		t.Fatalf("ledger has %d task records, want 2", len(recs))
 	}
-	for _, task := range man.Tasks {
-		if task.Cache != cacheTraced {
-			t.Errorf("task %s/%s cache outcome %q, want %q", task.Workload, task.Series, task.Cache, cacheTraced)
+	for _, r := range recs {
+		if r.Cache != cacheTraced {
+			t.Errorf("task %s/%s cache outcome %q, want %q", r.Workload, r.Series, r.Cache, cacheTraced)
 		}
-		if len(task.Files) != 2 {
-			t.Errorf("task %s/%s produced %d files, want pipetrace+intervals", task.Workload, task.Series, len(task.Files))
+		if len(r.Files) != 2 {
+			t.Errorf("task %s/%s recorded files %v, want pipetrace+intervals", r.Workload, r.Series, r.Files)
 		}
 	}
 
@@ -54,9 +61,6 @@ func obsSweep(t *testing.T, workers int) map[string][]byte {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".manifest.json") {
-			continue
-		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)

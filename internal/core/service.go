@@ -193,22 +193,24 @@ func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config, sample *
 	return st, err
 }
 
-// selectionFor returns the memoized selection of one series point: sel,
-// profiling on profCfg over profInput where it needs a profile ("" means
-// self-trained), under the candidate-enumeration limits and MGT budget
-// selCfg. A policy that needs no profile ignores profCfg and profInput, so
-// they do not split its entry.
-func selectionFor(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*minigraph.Selection, error) {
+// selectionFor returns the memoized selection of series point sp on b:
+// its policy, profiling on the spec's profiling machine and input where it
+// needs a profile, under the spec's candidate-enumeration limits and MGT
+// budget. A policy that needs no profile ignores the profiling machine and
+// input, so they do not split its entry.
+func selectionFor(ctx context.Context, b *Bench, sp SeriesSpec) (*minigraph.Selection, error) {
+	profCfg, profInput := profCfgOf(sp), sp.ProfInput
 	if profInput == "" {
 		profInput = b.Input
 	}
-	if !sel.NeedsProfile() {
+	if !sp.Sel.NeedsProfile() {
 		profCfg, profInput = pipeline.Config{}, ""
 	}
+	limits, selCfg := sp.limits(), sp.selectCfg()
 	key := simcache.Fingerprint("select", b.Workload.Name, b.Input,
-		identityOf(sel), profCfg, profInput, limits, selCfg)
+		identityOf(sp.Sel), profCfg, profInput, limits, selCfg)
 	chosen, _, err := selectCache.DoCtx(ctx, key, func(ctx context.Context) (*minigraph.Selection, error) {
-		return deriveSelection(ctx, b, sel, profCfg, profInput, limits, selCfg)
+		return deriveSelection(ctx, b, sp.Sel, profCfg, profInput, limits, selCfg)
 	})
 	return chosen, err
 }
@@ -261,44 +263,31 @@ func collectProfile(ctx context.Context, b *Bench, profCfg pipeline.Config, prof
 	return profBench.ProfileCtx(ctx, profCfg)
 }
 
-// evalStats returns the timing of one series point: select with sel
-// (profiling on profCfg over profInput where needed) and run on runCfg.
-// limits and selCfg are the candidate-enumeration and MGT budget knobs;
-// equal selections, from any policy, figure or ablation, share one run.
-func evalStats(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*pipeline.Stats, error) {
-	chosen, err := selectionFor(ctx, b, sel, profCfg, profInput, limits, selCfg)
-	if err != nil {
-		return nil, err
-	}
-	st, _, err := runStatsNoted(ctx, b, runCfg, mgConfigFor(sel, chosen), nil)
-	return st, err
-}
-
-// TaskKey returns the content-addressed fingerprint of one series point,
-// with default enumeration limits and MGT budget: the identity run-ledger
-// records carry. It names the point, not its run: the result cache files
-// runs under runKey, which equal selections of different points share.
-// sel == nil means singleton execution; profInput == "" means
-// self-trained; sample == nil means full detail (sampled estimates get
-// distinct keys).
-func TaskKey(b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, sample *pipeline.SampleSpec) simcache.Key {
-	if sel == nil {
+// TaskKey returns the content-addressed fingerprint of series point sp
+// on b: the identity run-ledger records carry. It names the point, not its
+// run: the result cache files runs under runKey, which equal selections of
+// different points share. sample == nil means full detail (sampled
+// estimates get distinct keys). Zero Limits and Budget key as the defaults
+// they stand for.
+func TaskKey(b *Bench, sp SeriesSpec, sample *pipeline.SampleSpec) simcache.Key {
+	if sp.Sel == nil {
 		if sample != nil {
-			return simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, runCfg, sampleIdentity(*sample))
+			return simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, sp.Cfg, sampleIdentity(*sample))
 		}
-		return simcache.Fingerprint("singleton", b.Workload.Name, b.Input, runCfg)
+		return simcache.Fingerprint("singleton", b.Workload.Name, b.Input, sp.Cfg)
 	}
+	profInput := sp.ProfInput
 	if profInput == "" {
 		profInput = b.Input
 	}
 	if sample != nil {
 		return simcache.Fingerprint("eval-sampled", b.Workload.Name, b.Input,
-			identityOf(sel), profCfg, profInput, runCfg,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig(), sampleIdentity(*sample))
+			identityOf(sp.Sel), profCfgOf(sp), profInput, sp.Cfg,
+			sp.limits(), sp.selectCfg(), sampleIdentity(*sample))
 	}
 	return simcache.Fingerprint("eval", b.Workload.Name, b.Input,
-		identityOf(sel), profCfg, profInput, runCfg,
-		minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+		identityOf(sp.Sel), profCfgOf(sp), profInput, sp.Cfg,
+		sp.limits(), sp.selectCfg())
 }
 
 // enumerateShared returns the cached candidate pool of b under non-default

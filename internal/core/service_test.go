@@ -362,18 +362,20 @@ func checkOutcomes(t *testing.T, tr *metrics.Tracer, l *ledger.Ledger, name stri
 // run is simulated, even one a slack profile's run could answer: an
 // ablation variant whose profile-needing policy selects nothing (no
 // mini-graph fits in one instruction) runs the singleton on the machine it
-// profiled. Each program then costs a baseline run, a profile and that
-// run, where the cached ablation takes the last from the baseline run.
+// profiled, the fully-provisioned one. Without caching each program then
+// costs a baseline run, a profile and that run; the cached sweep's profile
+// of the baseline machine answers both the baseline and the empty
+// selection.
 func TestNoCacheSimulatesEmptySelection(t *testing.T) {
 	ResetCaches()
 	opts := Options{Input: "small", Workloads: []string{"comm.crc32"}}
-	variants := []AblationVariant{{Label: "one-instruction mini-graphs", Cfg: pipeline.Baseline(),
+	specs := []SeriesSpec{{Label: "one-instruction mini-graphs", Cfg: pipeline.Baseline(),
 		Sel: selector.SlackProfile(), Limits: minigraph.Limits{MaxLen: 1, MaxInputs: 3}}}
 	runs := EnableMetrics().Counter("mg_sim_runs_total", "completed timing-simulator runs")
 	ablate := func(want int64) *SweepResult {
 		t.Helper()
 		before := runs.Value()
-		res, err := RunAblation("empty selection", opts, variants)
+		res, err := RunSweep("empty selection", opts, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,10 +385,35 @@ func TestNoCacheSimulatesEmptySelection(t *testing.T) {
 		}
 		return res
 	}
-	cached := ablate(2)
+	cached := ablate(1)
 	SetCachingDisabled(true)
 	defer SetCachingDisabled(false)
 	assertSweepsEqual(t, cached, ablate(3))
+}
+
+// TestTaskKeyDefaults checks that a spec's zero Limits and Budget key like
+// the paper's defaults spelled out, so the figures' series keep their
+// ledger keys, while an ablation's other limits and budgets key apart.
+func TestTaskKeyDefaults(t *testing.T) {
+	b, err := PrepareSharedByName("comm.crc32", "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := SeriesSpec{Cfg: pipeline.Reduced(), Sel: selector.SlackProfile()}
+	explicit := sp
+	explicit.Limits = minigraph.DefaultLimits()
+	explicit.Budget = minigraph.DefaultSelectConfig().TemplateBudget
+	if TaskKey(b, sp, nil) != TaskKey(b, explicit, nil) {
+		t.Error("default limits and budget spelled out change the task key")
+	}
+	shorter, smaller := sp, sp
+	shorter.Limits = minigraph.Limits{MaxLen: 2, MaxInputs: 3}
+	smaller.Budget = 4
+	for _, v := range []SeriesSpec{shorter, smaller} {
+		if TaskKey(b, v, nil) == TaskKey(b, sp, nil) {
+			t.Errorf("limits %+v, budget %d key like the defaults", v.Limits, v.Budget)
+		}
+	}
 }
 
 func assertSweepsEqual(t *testing.T, a, b *SweepResult) {

@@ -6,7 +6,9 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -109,13 +111,41 @@ func registerCacheSeries(reg *metrics.Registry, name string, stats func() simcac
 		func() float64 { return float64(stats().Bytes) }, cacheL)
 }
 
-// noteTaskMetrics feeds one finished task into the sweep series; no-ops
-// until EnableMetrics has run.
-func noteTaskMetrics(mt obs.ManifestTask) {
-	if mt.Error != "" {
+// taskDone is one finished sweep task, measured once by its worker:
+// finishTask hands this one value to every completion sink, so they all
+// report the same wall time.
+type taskDone struct {
+	index            int // position in the sweep's task list
+	workload, series string
+	worker           int
+	wall             time.Duration
+	use              metrics.Usage
+	specResult       // stats, key, cache outcome and observed files
+	err              error
+}
+
+// finishTask records one finished task of sweep title in the run ledger,
+// the sweep metrics, the task.finish log line and /debug/sweep.
+func finishTask(title string, opts Options, track *metrics.SweepProgress, d taskDone) {
+	// An append failure is logged, never fatal: history is an
+	// observability concern, not a correctness one.
+	if err := AppendRecord(ledger.Record{Tool: "sweep", Sweep: title, Workload: d.workload,
+		Series: d.series, Input: opts.input(), Key: d.key.Short(), Cache: d.outcome,
+		Files: d.files}, d.wall, d.use, d.stats, opts.Sample, d.err); err != nil {
+		if l := tlog(); l != nil {
+			l.Warn("ledger.append", "error", err)
+		}
+	}
+	if d.err != nil {
 		sweepSeries.tasksFailed.Inc()
 	} else {
 		sweepSeries.tasksDone.Inc()
 	}
-	sweepSeries.taskSeconds.Observe(mt.WallMS / 1e3)
+	sweepSeries.taskSeconds.Observe(d.wall.Seconds())
+	if l := tlog(); l != nil {
+		l.Info("task.finish", "sweep", title, "workload", d.workload,
+			"series", d.series, "worker", d.worker,
+			"wall_ms", float64(d.wall)/float64(time.Millisecond), "cache", d.outcome)
+	}
+	track.TaskDone(d.index, d.outcome, d.wall, d.err)
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/ledger"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/simcache"
@@ -109,6 +111,75 @@ func TestMetricsSweepSeries(t *testing.T) {
 	}
 	if byName["mg_task_wall_seconds_count"] < nTasks {
 		t.Errorf("mg_task_wall_seconds_count = %v, want >= %v", byName["mg_task_wall_seconds_count"], nTasks)
+	}
+}
+
+// TestTaskMeasuredOnce checks that a finished task is measured once and
+// every sink reports that one measurement: each task's run-ledger wall_ms
+// equals its /debug/sweep elapsed_ms, and the mg_task_wall_seconds sum
+// grows by the ledger's total.
+func TestTaskMeasuredOnce(t *testing.T) {
+	ResetCaches()
+	reg := EnableMetrics()
+	l, err := ledger.Open(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	SetLedger(l)
+	defer SetLedger(nil)
+	wallSum := func() float64 {
+		t.Helper()
+		var b bytes.Buffer
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			if s.Name == "mg_task_wall_seconds_sum" {
+				return s.Value
+			}
+		}
+		t.Fatal("no mg_task_wall_seconds_sum sample")
+		return 0
+	}
+
+	sum0 := wallSum()
+	opts := smallSweepOpts()
+	opts.Workers = 2
+	const title = "measured once"
+	if _, err := RunSweep(title, opts, smallSpecs()); err != nil {
+		t.Fatal(err)
+	}
+	sum := wallSum() - sum0
+
+	elapsed := map[string]float64{}
+	for _, s := range metrics.SnapshotSweeps() {
+		if s.Title == title {
+			for _, ts := range s.Tasks {
+				elapsed[ts.Workload+"|"+ts.Series] = ts.ElapsedMS
+			}
+		}
+	}
+	recs, _, err := ledger.Read(l.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(opts.workloads()) * len(smallSpecs()); len(recs) != want || len(elapsed) != want {
+		t.Fatalf("%d ledger records and %d /debug/sweep tasks, want %d of each", len(recs), len(elapsed), want)
+	}
+	var total float64
+	for _, r := range recs {
+		if got := elapsed[r.Workload+"|"+r.Series]; got != r.WallMS {
+			t.Errorf("%s/%s: /debug/sweep elapsed_ms %v, ledger wall_ms %v", r.Workload, r.Series, got, r.WallMS)
+		}
+		total += r.WallMS
+	}
+	if math.Abs(sum-total/1e3) > 1e-9*sum {
+		t.Errorf("mg_task_wall_seconds sum grew by %v s, ledger total is %v s", sum, total/1e3)
 	}
 }
 

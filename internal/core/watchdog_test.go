@@ -38,11 +38,11 @@ func TestWatchdogSlowTask(t *testing.T) {
 	clock := newFakeNow()
 	w := NewWatchdog(p, "wd-test", WatchdogConfig{SlowFactor: 8, MinDone: 3, Wedge: 240 * time.Hour}, clock.now)
 
-	// Three tasks complete (real wall, microseconds — a tiny but nonzero
+	// Three tasks complete in a millisecond each (a small but nonzero
 	// median); the fourth keeps running.
 	for i := 0; i < 3; i++ {
 		p.TaskRunning(i, i)
-		p.TaskDone(i, "miss", nil)
+		p.TaskDone(i, "miss", time.Millisecond, nil)
 	}
 	p.TaskRunning(3, 0)
 
@@ -95,9 +95,9 @@ func TestWatchdogMinDone(t *testing.T) {
 	w := NewWatchdog(p, "wd-test", WatchdogConfig{MinDone: 3, Wedge: 240 * time.Hour}, clock.now)
 
 	p.TaskRunning(0, 0)
-	p.TaskDone(0, "miss", nil)
+	p.TaskDone(0, "miss", time.Millisecond, nil)
 	p.TaskRunning(1, 0)
-	p.TaskDone(1, "miss", nil)
+	p.TaskDone(1, "miss", time.Millisecond, nil)
 	p.TaskRunning(2, 0) // only 2 of the required 3 done
 
 	w.Check()
@@ -137,7 +137,7 @@ func TestWatchdogWedge(t *testing.T) {
 	}
 
 	// Progress resumes, then stalls again: a fresh episode fires.
-	p.TaskDone(0, "miss", nil)
+	p.TaskDone(0, "miss", time.Millisecond, nil)
 	p.TaskRunning(1, 0)
 	if inc := w.Check(); len(inc) != 0 {
 		t.Fatalf("incident right after progress: %+v", inc)
@@ -149,7 +149,7 @@ func TestWatchdogWedge(t *testing.T) {
 	}
 
 	// Finished sweep: never a wedge, no matter how long ago it ended.
-	p.TaskDone(1, "miss", nil)
+	p.TaskDone(1, "miss", time.Millisecond, nil)
 	p.Finish()
 	w.Check()
 	clock.advance(time.Hour)
@@ -164,7 +164,7 @@ func TestWatchdogLoop(t *testing.T) {
 	p := sweepWith(t, 2)
 	w := StartWatchdog(p, "wd-loop", WatchdogConfig{Every: time.Millisecond})
 	p.TaskRunning(0, 0)
-	p.TaskDone(0, "miss", nil)
+	p.TaskDone(0, "miss", time.Millisecond, nil)
 	time.Sleep(5 * time.Millisecond)
 	w.Stop()
 	w.Stop()                // second Stop must not panic

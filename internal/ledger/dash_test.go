@@ -30,7 +30,7 @@ func TestDashHandler(t *testing.T) {
 		}
 	}
 	p := metrics.StartSweep("dash-test", [][2]string{{"comm.crc32", "Slack-Profile"}})
-	p.TaskDone(0, "hit", nil)
+	p.TaskDone(0, "hit", time.Millisecond, nil)
 	p.Finish()
 
 	srv := httptest.NewServer(DashHandler(func() *Ledger { return l }))

@@ -136,6 +136,9 @@ type Record struct {
 	// selections are equal share one run under different keys.
 	Key   string `json:"key,omitempty"`
 	Cache string `json:"cache,omitempty"` // hit/miss/shared/traced/nocache
+	// Files names the observability files (pipetrace, seek index,
+	// intervals) an observed task wrote into its -tracedir.
+	Files []string `json:"files,omitempty"`
 
 	// Estimate marks a sampled (low-fidelity) run: the metrics below are
 	// statistical estimates, not exact simulation, and must never be

@@ -51,11 +51,13 @@ type Usage struct {
 }
 
 // UsageMark is a snapshot of the counters Usage is computed from; take one
-// with MarkUsage before the work and call Since after it.
+// with MarkUsage (or MarkProcessUsage) before the work and call Since
+// after it.
 type UsageMark struct {
-	cpu    int64
-	gc     uint64
-	allocs uint64
+	cpu     int64
+	gc      uint64
+	allocs  uint64
+	process bool // CPU time of the whole process, not the calling thread
 }
 
 // MarkUsage snapshots the calling thread's CPU time and the process GC and
@@ -73,11 +75,24 @@ func MarkUsage() UsageMark {
 	}
 }
 
+// MarkProcessUsage is MarkUsage with the whole process's CPU time: for a
+// single-task driver run whose work fans out over goroutines, where one
+// thread's CPU clock would undercount.
+func MarkProcessUsage() UsageMark {
+	m := MarkUsage()
+	m.cpu, m.process = processCPUNanos(), true
+	return m
+}
+
 // Since returns the resources consumed between the mark and now. A
 // negative CPU delta (the goroutine migrated threads because it was not
 // pinned) clamps to zero rather than reporting another thread's time.
 func (m UsageMark) Since() Usage {
-	cpu := threadCPUNanos() - m.cpu
+	now := threadCPUNanos
+	if m.process {
+		now = processCPUNanos
+	}
+	cpu := now() - m.cpu
 	if cpu < 0 {
 		cpu = 0
 	}

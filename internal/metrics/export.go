@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
 // This file exports recorded spans in two formats:
@@ -183,22 +182,6 @@ func ValidateChromeTrace(tr *ChromeTrace) error {
 		}
 	}
 	return nil
-}
-
-// traceOutPath records the -trace-out destination so run manifests can
-// point at the span artifacts.
-var traceOutPath atomic.Pointer[string]
-
-// SetTraceOut records the process's -trace-out path.
-func SetTraceOut(path string) { traceOutPath.Store(&path) }
-
-// TraceOut returns the recorded -trace-out path ("" when tracing to file
-// is off).
-func TraceOut() string {
-	if p := traceOutPath.Load(); p != nil {
-		return *p
-	}
-	return ""
 }
 
 // WriteTraceFiles writes the tracer's spans to path in Chrome trace-event

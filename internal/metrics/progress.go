@@ -126,9 +126,9 @@ func (p *SweepProgress) TaskRunning(i, worker int) {
 	p.mu.Unlock()
 }
 
-// TaskDone marks task i finished with the given cache outcome; a non-nil
-// err marks it failed.
-func (p *SweepProgress) TaskDone(i int, cache string, err error) {
+// TaskDone marks task i finished after wall, as its worker measured it,
+// with the given cache outcome; a non-nil err marks it failed.
+func (p *SweepProgress) TaskDone(i int, cache string, wall time.Duration, err error) {
 	p.mu.Lock()
 	t := &p.tasks[i]
 	t.state = TaskDone
@@ -137,9 +137,7 @@ func (p *SweepProgress) TaskDone(i int, cache string, err error) {
 		t.err = err.Error()
 	}
 	t.cache = cache
-	if !t.started.IsZero() {
-		t.wallMS = float64(time.Since(t.started)) / float64(time.Millisecond)
-	}
+	t.wallMS = float64(wall) / float64(time.Millisecond)
 	p.mu.Unlock()
 }
 

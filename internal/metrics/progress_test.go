@@ -30,7 +30,7 @@ func TestSweepProgress(t *testing.T) {
 	}
 
 	time.Sleep(2 * time.Millisecond) // make elapsed measurable so the ETA is nonzero
-	p.TaskDone(0, "hit", nil)
+	p.TaskDone(0, "hit", time.Millisecond, nil)
 	s = p.Snapshot()
 	if s.Done != 1 || s.Failed != 0 || s.Tasks[0].State != TaskDone || s.Tasks[0].Cache != "hit" {
 		t.Errorf("done snapshot wrong: %+v", s)
@@ -44,7 +44,7 @@ func TestSweepProgress(t *testing.T) {
 	}
 
 	p.TaskRunning(1, 0)
-	p.TaskDone(1, "miss", errors.New("boom"))
+	p.TaskDone(1, "miss", time.Millisecond, errors.New("boom"))
 	p.Finish()
 	s = p.Snapshot()
 	if s.Active || s.Done != 2 || s.Failed != 1 || s.Tasks[1].State != TaskError || s.Tasks[1].Error != "boom" {
@@ -62,7 +62,7 @@ func TestSweepHandler(t *testing.T) {
 
 	p := StartSweep("fig6", [][2]string{{"wl.b", "base"}})
 	p.TaskRunning(0, 1)
-	p.TaskDone(0, "miss", nil)
+	p.TaskDone(0, "miss", time.Millisecond, nil)
 	p.Finish()
 
 	rec := httptest.NewRecorder()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -21,7 +22,7 @@ func TestServeDebug(t *testing.T) {
 	metrics.ResetProgress()
 	defer metrics.ResetProgress()
 	p := metrics.StartSweep("obs-test", [][2]string{{"wl", "s"}})
-	p.TaskDone(0, "hit", nil)
+	p.TaskDone(0, "hit", time.Millisecond, nil)
 	p.Finish()
 
 	addr, err := ServeDebug("127.0.0.1:0")

@@ -1,10 +1,10 @@
 // Package obs is the simulator's observability layer: per-uop pipetrace
-// records, interval time-series metrics, run manifests, and a debug HTTP
-// server. Everything in it is zero-cost when disabled — the pipeline holds
-// a single nil-guarded Observer pointer and pays one pointer test per
-// cycle when observability is off.
+// records with their seek index, interval time-series metrics, and a debug
+// HTTP server. Everything in it is zero-cost when disabled — the pipeline
+// holds a single nil-guarded Observer pointer and pays one pointer test
+// per cycle when observability is off.
 //
-// The three layers:
+// The layers:
 //
 //   - Pipetrace: one record per committed or squashed uop with its
 //     stage timestamps (fetch/rename/issue/exec/writeback/commit), plus
@@ -14,8 +14,6 @@
 //   - IntervalSampler: every N cycles, a snapshot of IPC, UPC, coverage,
 //     queue occupancies, the stall-cause breakdown, and monitor activity,
 //     kept in a bounded ring and exported as JSONL or CSV.
-//   - Manifest: a JSON description of an experiment run (tasks, wall
-//     times, cache outcomes) written alongside its output.
 package obs
 
 import (
@@ -129,7 +127,7 @@ func NewRunObserver(opts *Options, base string) (*Observer, error) {
 }
 
 // Files returns the output file names (not paths) this observer writes,
-// for manifests.
+// for run-ledger records.
 func (o *Observer) Files() []string {
 	if o == nil {
 		return nil
@@ -147,8 +145,8 @@ func (o *Observer) Files() []string {
 	return out
 }
 
-// IndexInfo returns the manifest summary of the seek index Close wrote, or
-// nil when no index was produced (or Close has not run yet).
+// IndexInfo returns the summary of the seek index Close wrote, or nil when
+// no index was produced (or Close has not run yet).
 func (o *Observer) IndexInfo() *IndexInfo {
 	if o == nil {
 		return nil

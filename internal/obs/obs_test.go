@@ -322,31 +322,6 @@ func TestIntervalsReadWriteRoundtrip(t *testing.T) {
 	}
 }
 
-func TestManifestRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.manifest.json")
-	m := &Manifest{
-		Tool: "sweep", Title: "Figure 6 top", Started: "2026-01-02T03:04:05Z",
-		WallMS: 1234.5, Input: "small", Workers: 4,
-		Flags: map[string]string{"pipetrace": "true"},
-		Tasks: []ManifestTask{
-			{Workload: "comm.crc32", Series: "Slack-Dynamic", Worker: 1, WallMS: 200,
-				Cache: "traced", Files: []string{"a.pipetrace.jsonl"}},
-			{Workload: "comm.crc32", Series: "Struct-All", Worker: 0, WallMS: 90, Cache: "hit"},
-		},
-	}
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, m) {
-		t.Errorf("manifest roundtrip:\n got %+v\nwant %+v", back, m)
-	}
-}
-
 func TestObserverFilesAndClose(t *testing.T) {
 	dir := t.TempDir()
 	opts := &Options{Dir: dir, Pipetrace: true, IntervalEvery: 100}

@@ -92,8 +92,8 @@ type Index struct {
 	Entries    []IndexEntry
 }
 
-// IndexInfo is the manifest-facing summary of a written index, so tooling
-// discovers indexes from the run manifest instead of globbing.
+// IndexInfo summarizes a written index: its sidecar file, record count and
+// commit-cycle span (the index footer holds the same figures).
 type IndexInfo struct {
 	File     string `json:"file"`
 	Records  int64  `json:"records"`
@@ -101,7 +101,7 @@ type IndexInfo struct {
 	MaxCycle int64  `json:"maxCycle"`
 }
 
-// Info summarizes the index for a manifest. file is the sidecar's name.
+// Info summarizes the index. file is the sidecar's name.
 func (x *Index) Info(file string) *IndexInfo {
 	return &IndexInfo{File: file, Records: x.Records, MinCycle: x.MinCycle, MaxCycle: x.MaxCycle}
 }
