@@ -118,7 +118,10 @@ index-smoke:
 
 # Run-ledger end to end: the same tiny sweep twice with -ledger must
 # append (never clobber) — the record count doubles across the restart —
-# and comparing the recorded rev against itself must gate clean.
+# and comparing the recorded rev against itself must gate clean. The
+# Figure 8 limit study is a sweep too: on comm.crc32 (4 candidates) it must
+# record each of its 16 subsets, and its two-worker trace must pass
+# mgtrace -spans.
 ledger-smoke:
 	@dir=$$(mktemp -d); \
 	run() { $(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32 -input small \
@@ -128,6 +131,12 @@ ledger-smoke:
 	[ "$$n2" -eq $$((2 * n1)) ] || { echo "ledger-smoke FAILED: $$n1 then $$n2 records (want double)"; exit 1; }; \
 	$(GO) run ./cmd/mgstat -ledger $$dir/led -compare ci,ci -gate 5 >/dev/null || \
 		{ echo "ledger-smoke FAILED: self-compare did not gate clean"; exit 1; }; \
+	$(GO) run ./cmd/mgreport -exp fig8 -input small -workload comm.crc32 -workers 2 \
+		-ledger $$dir/fig8 -trace-out $$dir/fig8.trace >/dev/null 2>&1 && \
+	n=$$(grep -c '^v1 ' $$dir/fig8/ledger.jsonl) && [ "$$n" -eq 16 ] || \
+		{ echo "ledger-smoke FAILED: fig8 appended $$n records (want one per subset: 16)"; exit 1; }; \
+	$(GO) run ./cmd/mgtrace -spans $$dir/fig8.trace >/dev/null || \
+		{ echo "ledger-smoke FAILED: fig8 trace rejected by mgtrace -spans"; exit 1; }; \
 	rm -rf $$dir && echo "ledger-smoke ok"
 
 # Self-profiling end to end: a ledgered sweep must record per-task CPU

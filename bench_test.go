@@ -178,7 +178,7 @@ func BenchmarkFig7SlackDynamicBreakdown(b *testing.B) {
 func BenchmarkFig8LimitStudy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lr, err := core.LimitStudy("media.adpcm_enc", "small", 0)
+		lr, err := core.LimitStudy("media.adpcm_enc", core.Options{Input: "small"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -243,16 +243,15 @@ func sweep(w io.Writer, plots bool, opts core.Options, f func(core.Options) (*co
 }
 
 func limitStudy(w io.Writer, workloadName string, opts core.Options) error {
-	input := opts.Input
-	if input == "" || input == "large" {
-		input = "small" // the paper uses a short-running benchmark
+	if opts.Input == "" || opts.Input == "large" {
+		opts.Input = "small" // the paper uses a short-running benchmark
 	}
-	lr, err := core.LimitStudy(workloadName, input, opts.Workers)
+	lr, err := core.LimitStudy(workloadName, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 8: limit study on %s (%s input): all %d combinations of %d mini-graphs\n",
-		lr.Workload, input, len(lr.Points), len(lr.Candidates))
+		lr.Workload, opts.Input, len(lr.Points), len(lr.Candidates))
 	fmt.Fprintf(w, "%-18s %12s %10s %8s\n", "set", "mask", "coverage", "perf")
 	fmt.Fprintf(w, "%-18s %12b %10.3f %8.3f\n", "exhaustive-best", lr.Best.Mask, lr.Best.Coverage, lr.Best.RelPerf)
 	for _, name := range []string{"Struct-All", "Struct-None", "Struct-Bounded", "Slack-Profile"} {

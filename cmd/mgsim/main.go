@@ -115,7 +115,7 @@ func main() {
 		case sample != nil:
 			st, srep, err = bench.RunSampledReportCtx(sctx, cfg, nil, nil, *sample)
 		case watch != nil:
-			st, err = bench.RunSingletonObserved(cfg, watch)
+			st, err = bench.RunObserved(cfg, nil, nil, watch)
 		default:
 			st, err = bench.RunSingleton(cfg)
 		}

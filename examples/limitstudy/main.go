@@ -18,7 +18,7 @@ import (
 
 func main() {
 	for _, name := range []string{"media.adpcm_enc", "comm.gen01"} {
-		lr, err := core.LimitStudy(name, "small", 0)
+		lr, err := core.LimitStudy(name, core.Options{Input: "small"})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -196,11 +196,6 @@ func (b *Bench) RunSingleton(cfg pipeline.Config) (*pipeline.Stats, error) {
 	return pipeline.Run(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, nil)
 }
 
-// RunSingletonObserved is RunSingleton with an observer attached.
-func (b *Bench) RunSingletonObserved(cfg pipeline.Config, watch *obs.Observer) (*pipeline.Stats, error) {
-	return pipeline.RunObserved(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, nil, watch)
-}
-
 // ProfileObserved collects a slack profile like Profile but with an
 // observer attached to the profiling run. It bypasses the per-bench
 // profile cache (the trace is the point) and does not populate it.
@@ -223,14 +218,6 @@ func (b *Bench) Evaluate(sel *selector.Selector, profCfg, runCfg pipeline.Config
 			return nil, nil, err
 		}
 	}
-	return b.EvaluateWith(sel, prof, runCfg)
-}
-
-// EvaluateWith is Evaluate with an externally supplied profile — the
-// cross-input and cross-configuration robustness experiments collect the
-// profile on a different bench and apply it here (static indices align:
-// the code is identical, only the data differs).
-func (b *Bench) EvaluateWith(sel *selector.Selector, prof *slack.Profile, runCfg pipeline.Config) (*pipeline.Stats, *minigraph.Selection, error) {
 	chosen := b.Select(sel, prof)
 	st, err := b.Run(runCfg, sel, chosen)
 	return st, chosen, err

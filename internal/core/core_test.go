@@ -120,6 +120,30 @@ func TestRunSweepSmall(t *testing.T) {
 	}
 }
 
+// TestSweepWorkloadNames checks the Workloads filter: a name that matches no
+// workload fails the sweep before any task runs, while a known name outside
+// a figure's suites only filters it out.
+func TestSweepWorkloadNames(t *testing.T) {
+	ResetCaches()
+	_, err := Fig1(Options{Input: "small", Workloads: []string{"comm.crc32", "nonexist.prog"}})
+	if want := `unknown workload "nonexist.prog"`; err == nil || err.Error() != want {
+		t.Errorf("unknown name: err = %v, want %s", err, want)
+	}
+	if c := Caches(); c.Benches.Misses != 0 || c.Results.Misses != 0 {
+		t.Errorf("rejected sweep prepared %d programs and simulated %d runs", c.Benches.Misses, c.Results.Misses)
+	}
+	// Fig 9 bottom runs the intx and embed suites only.
+	res, err := Fig9Bottom(Options{Input: "small", Workloads: []string{"comm.crc32"}})
+	if err != nil {
+		t.Fatalf("known name outside the suites: %v", err)
+	}
+	for _, s := range res.Perf.Series {
+		if len(s.Values) != 0 {
+			t.Errorf("series %s has %d points, want none", s.Label, len(s.Values))
+		}
+	}
+}
+
 func TestCrossInputSweep(t *testing.T) {
 	opts := Options{Input: "large", Suites: []string{"embed"}, Workers: 2}
 	red := pipeline.Reduced()
@@ -138,7 +162,7 @@ func TestCrossInputSweep(t *testing.T) {
 }
 
 func TestLimitStudySmallPool(t *testing.T) {
-	lr, err := LimitStudy("media.adpcm_enc", "small", 2)
+	lr, err := LimitStudy("media.adpcm_enc", Options{Input: "small", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,9 @@ type Options struct {
 	// Suites restricts the workload population (nil = all four suites).
 	Suites []string
 	// Workloads further restricts the population to exact workload names
-	// (applied after Suites; nil = no name filter).
+	// (applied after Suites; nil = no name filter). A sweep fails on a
+	// name that matches no workload; a known name outside Suites only
+	// filters.
 	Workloads []string
 	// Workers bounds parallelism (0 = GOMAXPROCS); the effective worker
 	// count is additionally capped at the number of schedulable tasks.
@@ -151,6 +153,11 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	started := time.Now()
 	if opts.Sample != nil && opts.Obs.Active() {
 		return nil, fmt.Errorf("sweep %q: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)", title)
+	}
+	for _, n := range opts.Workloads {
+		if workload.Find(n) == nil {
+			return nil, fmt.Errorf("unknown workload %q", n)
+		}
 	}
 	// Each sweep is one trace process: tid 0 is the orchestrator, worker k
 	// runs as tid k+1.
@@ -457,22 +464,17 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 	if err != nil {
 		return nil, nil, err
 	}
-	var st *pipeline.Stats
-	if sp.Sel == nil {
-		_, span := metrics.StartSpan(ctx, "simulate",
-			metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name))
-		st, err = b.RunSingletonObserved(sp.Cfg, watch)
-		span.End()
-	} else {
-		var chosen *minigraph.Selection
+	attrs := []metrics.Label{metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name)}
+	var chosen *minigraph.Selection // nil for a singleton
+	if sp.Sel != nil {
 		chosen, err = selectionFor(ctx, b, sp)
-		if err == nil {
-			_, span := metrics.StartSpan(ctx, "simulate",
-				metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name),
-				metrics.L("policy", sp.Sel.Name()))
-			st, err = b.RunObserved(sp.Cfg, sp.Sel, chosen, watch)
-			span.End()
-		}
+		attrs = append(attrs, metrics.L("policy", sp.Sel.Name()))
+	}
+	var st *pipeline.Stats
+	if err == nil {
+		_, span := metrics.StartSpan(ctx, "simulate", attrs...)
+		st, err = b.RunObserved(sp.Cfg, sp.Sel, chosen, watch)
+		span.End()
 	}
 	if cerr := watch.Close(); err == nil {
 		err = cerr
@@ -632,9 +634,12 @@ type LimitResult struct {
 // LimitStudy reproduces the Figure 8 exhaustive search: take the 10 most
 // frequently executed non-overlapping candidates of one benchmark, evaluate
 // all 1024 subsets on the reduced machine, and compare with what each
-// selector would have chosen from the same pool.
-func LimitStudy(workloadName, input string, workers int) (*LimitResult, error) {
-	bench, err := PrepareSharedByName(workloadName, input)
+// selector would have chosen from the same pool. Each subset is one series
+// (selector.Subset) of a sweep over the one workload, so the study runs
+// through RunSweep like a figure, with opts' input, workers, sampling,
+// observers and watchdog; opts.Suites and opts.Workloads are ignored.
+func LimitStudy(workloadName string, opts Options) (*LimitResult, error) {
+	bench, err := PrepareSharedByName(workloadName, opts.input())
 	if err != nil {
 		return nil, err
 	}
@@ -644,64 +649,42 @@ func LimitStudy(workloadName, input string, workers int) (*LimitResult, error) {
 	}
 	n := len(top)
 	red := pipeline.Reduced()
-
-	baseStats, err := singletonStats(context.Background(), bench, pipeline.Baseline(), nil)
+	// The selectors' choices below need this profile. Taken first, its run
+	// also answers the empty subset, as a sweep's singleton is answered.
+	prof, err := bench.Profile(red)
 	if err != nil {
 		return nil, err
 	}
-	base := baseStats.Cycles
+
+	specs := make([]SeriesSpec, 1<<n)
+	for mask := range specs {
+		var subset []*minigraph.Candidate
+		for i, c := range top {
+			if mask&(1<<i) != 0 {
+				subset = append(subset, c)
+			}
+		}
+		specs[mask] = SeriesSpec{Label: fmt.Sprintf("%0*b", n, mask), Cfg: red, Sel: selector.Subset(subset)}
+	}
+	opts.Suites, opts.Workloads = nil, []string{workloadName}
+	sw, err := RunSweep("Figure 8: limit study ("+workloadName+")", opts, specs)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &LimitResult{
 		Workload:   workloadName,
 		Candidates: top,
-		Points:     make([]LimitPoint, 1<<n),
+		Points:     make([]LimitPoint, len(specs)),
 		Choices:    make(map[string]uint32),
 	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for mask := range res.Points {
+		res.Points[mask] = LimitPoint{
+			Mask:     uint32(mask),
+			Coverage: sw.Coverage.Series[mask].Values[workloadName],
+			RelPerf:  sw.Perf.Series[mask].Values[workloadName],
+		}
 	}
-	if workers > 1<<n {
-		workers = 1 << n
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var firstErr error
-	var mu sync.Mutex
-	for mask := 0; mask < 1<<n; mask++ {
-		wg.Add(1)
-		go func(mask int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var subset []*minigraph.Candidate
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					subset = append(subset, top[i])
-				}
-			}
-			sel := minigraph.Select(bench.Prog, subset, bench.Freq, minigraph.DefaultSelectConfig())
-			st, err := bench.Run(red, nil, sel)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			res.Points[mask] = LimitPoint{
-				Mask:     uint32(mask),
-				Coverage: st.Coverage(),
-				RelPerf:  float64(base) / float64(st.Cycles),
-			}
-		}(mask)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
 	res.Best = res.Points[0]
 	for _, pt := range res.Points {
 		if pt.RelPerf > res.Best.RelPerf {
@@ -710,10 +693,6 @@ func LimitStudy(workloadName, input string, workers int) (*LimitResult, error) {
 	}
 
 	// What would each static selector pick from this pool?
-	prof, err := bench.Profile(red)
-	if err != nil {
-		return nil, err
-	}
 	for _, sel := range []*selector.Selector{
 		selector.StructAll(), selector.StructNone(), selector.StructBounded(), selector.SlackProfile(),
 	} {

@@ -184,15 +184,6 @@ func runStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config, mg pipeli
 	})
 }
 
-// singletonStats returns the singleton (no mini-graphs) timing of bench b
-// on cfg. sample selects low-fidelity estimation (nil = full detail);
-// sampled results are cached under distinct keys so an estimate can never
-// answer for an exact run.
-func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config, sample *pipeline.SampleSpec) (*pipeline.Stats, error) {
-	st, _, err := runStatsNoted(ctx, b, cfg, pipeline.MGConfig{}, sample)
-	return st, err
-}
-
 // selectionFor returns the memoized selection of series point sp on b:
 // its policy, profiling on the spec's profiling machine and input where it
 // needs a profile, under the spec's candidate-enumeration limits and MGT

@@ -20,6 +20,7 @@ package selector
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/minigraph"
@@ -195,6 +196,25 @@ func SlackDynamicDelay() *Selector {
 		name:   "Slack-Dynamic-Delay",
 		filter: keepAll,
 		Dyn:    DynOptions{Dynamic: true, DelayOnly: true},
+	}
+}
+
+// Subset admits exactly the given candidates of the pool it filters,
+// matched by start and length: the Figure 8 limit study evaluates one fixed
+// combination per series. The name spells the combination out, e.g.
+// "Subset{12+3,40+4}", so memoized selections and task keys of different
+// subsets stay apart.
+func Subset(cands []*minigraph.Candidate) *Selector {
+	type window struct{ start, n int }
+	keep := make(map[window]bool, len(cands))
+	parts := make([]string, len(cands))
+	for i, c := range cands {
+		keep[window{c.Start, c.N}] = true
+		parts[i] = fmt.Sprintf("%d+%d", c.Start, c.N)
+	}
+	return &Selector{
+		name:   "Subset{" + strings.Join(parts, ",") + "}",
+		filter: keepIf(func(c *minigraph.Candidate) bool { return keep[window{c.Start, c.N}] }),
 	}
 }
 

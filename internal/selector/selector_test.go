@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -251,5 +252,33 @@ func TestSlackProfilePoolBetweenExtremes(t *testing.T) {
 	// Slack-Profile-Delay generates a strictly smaller (or equal) pool.
 	if len(spd) > len(sp) {
 		t.Errorf("Delay pool (%d) should be <= full pool (%d)", len(spd), len(sp))
+	}
+}
+
+// TestSubsetPool checks the limit study's fixed-combination policy: it
+// admits exactly its candidates, matched by start and length in any pool
+// that holds them, and its name spells the combination out.
+func TestSubsetPool(t *testing.T) {
+	p := fig5Program(t)
+	cands := minigraph.Enumerate(p, minigraph.DefaultLimits())
+	if len(cands) < 3 {
+		t.Fatalf("fig5 program has %d candidates, want at least 3", len(cands))
+	}
+	first, last := cands[0], cands[len(cands)-1]
+	s := Subset([]*minigraph.Candidate{last, first})
+	if want := fmt.Sprintf("Subset{%d+%d,%d+%d}", last.Start, last.N, first.Start, first.N); s.Name() != want {
+		t.Errorf("name = %q, want %q", s.Name(), want)
+	}
+	if s.NeedsProfile() || s.Dyn != (DynOptions{}) {
+		t.Errorf("Subset needs a profile (%v) or a monitor (%+v)", s.NeedsProfile(), s.Dyn)
+	}
+	// A second enumeration holds equal candidates at other addresses.
+	pool := s.Pool(p, minigraph.Enumerate(p, minigraph.DefaultLimits()), nil)
+	if len(pool) != 2 || pool[0].Start != first.Start || pool[0].N != first.N ||
+		pool[1].Start != last.Start || pool[1].N != last.N {
+		t.Errorf("pool = %v, want [%v %v]", pool, first, last)
+	}
+	if empty := Subset(nil); empty.Name() != "Subset{}" || len(empty.Pool(p, cands, nil)) != 0 {
+		t.Errorf("empty subset %q admits %d candidates", empty.Name(), len(empty.Pool(p, cands, nil)))
 	}
 }
