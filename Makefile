@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test race obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke nocache-smoke sampling-accuracy bench benchjson profile report
+.PHONY: ci vet fmt build test race obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke ledger-smoke selfprof-smoke nocache-smoke sampling-accuracy bench benchjson profile report
 
 ## ci: the pre-merge check — vet, gofmt, build, full tests, race-enabled
 ## cache and pipeline tests, the scheduler differential, the SoA/pooling
@@ -8,7 +8,7 @@ GO ?= go
 ## observability, attribution, metrics/tracing, run-ledger and
 ## self-profiling smoke tests. Documented in README.md; run before every
 ## merge.
-ci: vet fmt build test race sched-smoke sched-soa sampling-accuracy obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke nocache-smoke
+ci: vet fmt build test race sched-smoke sched-soa sampling-accuracy obs-smoke critpath-smoke metrics-smoke ledger-smoke selfprof-smoke nocache-smoke
 
 vet:
 	$(GO) vet ./...
@@ -35,23 +35,30 @@ race:
 	$(GO) test -race -timeout 25m ./internal/pipeline
 	$(GO) test -race -timeout 25m ./internal/core ./internal/simcache ./internal/critpath ./internal/ledger ./internal/metrics
 
-# End-to-end observability: one observed run, then render + summarize the
-# files it produced; then the same run traced with the binary encoding,
-# which must render directly and convert byte-identically to the JSONL.
+# End-to-end observability: one observed run writes a binary pipetrace and
+# an interval file. The trace and its mgtrace -tojsonl conversion must
+# render and attribute identically (bar the file name heading the
+# attribution); the intervals must summarize; a cycle window must render
+# and attribute; and the live /debug/trace flight-recorder endpoint tests
+# must pass.
 obs-smoke:
-	@dir=$$(mktemp -d); \
+	@dir=$$(mktemp -d); mgt=$$dir/mgtrace; \
+	t=$$dir/comm.crc32_small_reduced-3way_Slack-Dynamic; b=$$t.pipetrace.bin; j=$$t.pipetrace.jsonl; \
+	$(GO) build -o $$mgt ./cmd/mgtrace && \
 	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced \
-		-selector Slack-Dynamic -pipetrace -intervals 500 -tracedir $$dir >/dev/null && \
-	$(GO) run ./cmd/mgtrace -trace $$dir/comm.crc32_small_reduced-3way_Slack-Dynamic.pipetrace.jsonl \
-		-count 16 >/dev/null && \
-	$(GO) run ./cmd/mgtrace -summary $$dir/comm.crc32_small_reduced-3way_Slack-Dynamic.intervals.jsonl \
-		>/dev/null && \
-	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced \
-		-selector Slack-Dynamic -pipetrace-bin -tracedir $$dir/bin >/dev/null && \
-	$(GO) run ./cmd/mgtrace -trace $$dir/bin/comm.crc32_small_reduced-3way_Slack-Dynamic.pipetrace.bin \
-		-count 16 >/dev/null && \
-	$(GO) run ./cmd/mgtrace -tojsonl $$dir/bin/comm.crc32_small_reduced-3way_Slack-Dynamic.pipetrace.bin | \
-		cmp - $$dir/comm.crc32_small_reduced-3way_Slack-Dynamic.pipetrace.jsonl && \
+		-selector Slack-Dynamic -pipetrace -intervals 500 -tracedir $$dir >/dev/null 2>&1 && \
+	$$mgt -tojsonl $$b > $$j && \
+	$$mgt -trace $$b -count 16 > $$dir/bin.render && $$mgt -trace $$j -count 16 > $$dir/jsonl.render && \
+	cmp $$dir/bin.render $$dir/jsonl.render && \
+	$$mgt -critpath $$b -config reduced > $$dir/bin.crit && $$mgt -critpath $$j -config reduced > $$dir/jsonl.crit && \
+	grep -q serialization $$dir/bin.crit && \
+	sed 1d $$dir/bin.crit > $$dir/bin.body && sed 1d $$dir/jsonl.crit > $$dir/jsonl.body && \
+	cmp $$dir/bin.body $$dir/jsonl.body && \
+	$$mgt -summary $$t.intervals.jsonl >/dev/null && \
+	$$mgt -trace $$b -window 2000:4000 -count 100000 >/dev/null && \
+	$$mgt -critpath $$b -config reduced -window 2000:4000 >/dev/null && \
+	$(GO) test -run 'TestFlight|TestTraceWindowHandler|TestServeDebugTraceEndpoint' -count=1 ./internal/obs >/dev/null || \
+		{ echo "obs-smoke FAILED"; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir && echo "obs-smoke ok"
 
 # Scheduler differential: the event-driven scheduler must match the scan
@@ -95,26 +102,6 @@ metrics-smoke:
 		-plots=false -trace-out $$dir/ablation.trace >/dev/null && \
 	$(GO) run ./cmd/mgtrace -spans $$dir/ablation.trace >/dev/null && \
 	rm -rf $$dir && echo "metrics-smoke ok"
-
-# Trace-index end to end: an observed binary run must leave a .mgidx
-# sidecar next to the trace; a -window query through the index must print
-# byte-identically to the -noindex linear scan (modulo the mode label); a
-# windowed critical-path attribution over the same trace must succeed; and
-# the live /debug/trace flight-recorder endpoint tests must pass.
-index-smoke:
-	@dir=$$(mktemp -d); \
-	t=$$dir/comm.crc32_small_reduced-3way_Slack-Dynamic.pipetrace.bin; \
-	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced \
-		-selector Slack-Dynamic -pipetrace-bin -tracedir $$dir >/dev/null 2>&1 && \
-	test -s $$t.mgidx && \
-	$(GO) run ./cmd/mgtrace -trace $$t -window 2000:4000 -count 100000 | \
-		sed 's/(seek index)/(scan)/' > $$dir/win.idx && \
-	$(GO) run ./cmd/mgtrace -trace $$t -window 2000:4000 -count 100000 -noindex | \
-		sed 's/(linear scan)/(scan)/' > $$dir/win.lin && \
-	cmp $$dir/win.idx $$dir/win.lin && \
-	$(GO) run ./cmd/mgtrace -critpath $$t -config reduced -window 2000:4000 >/dev/null && \
-	$(GO) test -run 'TestFlight|TestTraceWindowHandler|TestServeDebugTraceEndpoint' -count=1 ./internal/obs >/dev/null && \
-	rm -rf $$dir && echo "index-smoke ok"
 
 # Run-ledger end to end: the same tiny sweep twice with -ledger must
 # append (never clobber) — the record count doubles across the restart —
@@ -200,8 +187,8 @@ bench:
 # deltas measure the hardware as much as the code); pass -strict-host to
 # make that a failure (see README "Performance").
 benchjson:
-	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkIndex|BenchmarkRunSampled|BenchmarkHealth' -benchtime 5x -count 3 -benchmem \
-		./internal/pipeline ./internal/critpath ./internal/obs ./internal/metrics | \
+	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkRunSampled|BenchmarkHealth' -benchtime 5x -count 3 -benchmem \
+		./internal/pipeline ./internal/critpath ./internal/metrics | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 		-baseline BENCH_PR15.json > BENCH_PR17.json

@@ -53,7 +53,7 @@ func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, 
 
 	t0 := time.Now()
 	var buf bytes.Buffer
-	watch := &obs.Observer{Trace: obs.NewPipetrace(&buf)}
+	watch := &obs.Observer{Trace: obs.NewBinaryPipetrace(&buf)}
 	st, err := bench.RunObserved(cfg, sel, chosen, watch)
 	if err != nil {
 		return err

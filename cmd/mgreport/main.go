@@ -48,8 +48,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		nocache    = flag.Bool("nocache", false, "bypass the simulation caches: re-prepare and re-simulate everything")
 		cacheStats = flag.Bool("cachestats", false, "print simulation-cache counters to stderr")
-		pipetrace  = flag.Bool("pipetrace", false, "write per-uop pipetrace JSONL per (workload, series)")
-		ptraceBin  = flag.Bool("pipetrace-bin", false, "write pipetraces in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
+		pipetrace  = flag.Bool("pipetrace", false, "write a per-uop pipetrace per (workload, series) (binary; mgtrace -tojsonl converts it)")
 		intervals  = flag.Int64("intervals", 0, "sample interval metrics every N cycles (0 = off)")
 		tracedir   = flag.String("tracedir", "", "observability output directory (default \"obs\")")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -63,7 +62,7 @@ func main() {
 		wdSlow     = flag.Float64("watchdog-slow", 8, "with -watchdog: flag a task once it exceeds this multiple of the sweep's median task time")
 		wdWedge    = flag.Duration("watchdog-wedge", 2*time.Minute, "with -watchdog: flag the sweep when no task completes for this long")
 	)
-	resolveSample := core.SampleFlags()
+	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	runStart := time.Now()
@@ -99,7 +98,7 @@ func main() {
 	}
 
 	opts := core.Options{Input: *input, Workers: *workers,
-		Obs: obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir), Sample: sample}
+		Obs: obs.FlagOptions(*pipetrace, *intervals, *tracedir), Sample: sample}
 	if *watchdog {
 		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
 	}

@@ -32,12 +32,11 @@ func main() {
 		cfgName    = flag.String("config", "reduced", "profiling machine for slack-based policies")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cacheStats = flag.Bool("cachestats", false, "print simulation-cache counters to stderr")
-		pipetrace  = flag.Bool("pipetrace", false, "write a per-uop pipetrace JSONL of the profiling run")
-		ptraceBin  = flag.Bool("pipetrace-bin", false, "write the pipetrace in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
+		pipetrace  = flag.Bool("pipetrace", false, "write a per-uop pipetrace of the profiling run (binary; mgtrace -tojsonl converts it)")
 		intervals  = flag.Int64("intervals", 0, "sample interval metrics of the profiling run every N cycles (0 = off)")
 		tracedir   = flag.String("tracedir", "", "observability output directory (default \"obs\")")
 	)
-	resolveSample := core.SampleFlags()
+	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	sample, err := resolveSample()
@@ -45,7 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(2)
 	}
-	if sample != nil && (*pipetrace || *ptraceBin || *intervals > 0) {
+	if sample != nil && (*pipetrace || *intervals > 0) {
 		fmt.Fprintln(os.Stderr, "mgselect: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
 		os.Exit(2)
 	}
@@ -93,7 +92,7 @@ func main() {
 	}
 	var prof *slack.Profile
 	if sel.NeedsProfile() {
-		if o := obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir); o.Active() {
+		if o := obs.FlagOptions(*pipetrace, *intervals, *tracedir); o.Active() {
 			// Trace the profiling run itself: the singleton execution the
 			// slack profile is collected from.
 			base := fmt.Sprintf("%s_%s_%s_profile", *wName, *input, cfg.Name)

@@ -34,12 +34,11 @@ func main() {
 		cfgName   = flag.String("config", "baseline", "machine: baseline, reduced, 2way, 8way, dmem4")
 		selName   = flag.String("selector", "none", "selection policy (or none)")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		pipetrace = flag.Bool("pipetrace", false, "write a per-uop pipetrace JSONL of the run")
-		ptraceBin = flag.Bool("pipetrace-bin", false, "write the pipetrace in the compact binary encoding (with a .mgidx seek index) instead of JSONL")
+		pipetrace = flag.Bool("pipetrace", false, "write a per-uop pipetrace of the run (binary; mgtrace -tojsonl converts it)")
 		intervals = flag.Int64("intervals", 0, "sample interval metrics every N cycles (0 = off)")
 		tracedir  = flag.String("tracedir", "", "observability output directory (default \"obs\")")
 	)
-	resolveSample := core.SampleFlags()
+	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
 	flag.Parse()
 	runStart := time.Now()
@@ -48,7 +47,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(2)
 	}
-	if sample != nil && (*pipetrace || *ptraceBin || *intervals > 0) {
+	if sample != nil && (*pipetrace || *intervals > 0) {
 		fmt.Fprintln(os.Stderr, "mgsim: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
 		os.Exit(2)
 	}
@@ -99,7 +98,7 @@ func main() {
 	// GOMAXPROCS goroutines, so a thread CPU clock would undercount.
 	um := metrics.MarkProcessUsage()
 	var watch *obs.Observer
-	if o := obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir); o.Active() {
+	if o := obs.FlagOptions(*pipetrace, *intervals, *tracedir); o.Active() {
 		base := fmt.Sprintf("%s_%s_%s_%s", *wName, *input, cfg.Name, *selName)
 		if watch, err = obs.NewRunObserver(o, base); err != nil {
 			fmt.Fprintln(os.Stderr, "mgsim:", err)
@@ -179,10 +178,6 @@ func main() {
 	}
 	if watch != nil {
 		fmt.Fprintf(os.Stderr, "observability files: %v\n", watch.Files())
-		if ix := watch.IndexInfo(); ix != nil {
-			fmt.Fprintf(os.Stderr, "trace index: %s — %d records, commit cycles %d..%d (query with mgtrace -window)\n",
-				ix.File, ix.Records, ix.MinCycle, ix.MaxCycle)
-		}
 	}
 
 	fmt.Printf("workload=%s input=%s config=%s selector=%s\n", *wName, *input, cfg.Name, *selName)

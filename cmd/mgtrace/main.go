@@ -6,30 +6,24 @@
 //
 // Usage:
 //
-//	mgtrace -trace run.pipetrace.jsonl [-start seq] [-count n] [-cols n]
-//	mgtrace -trace run.pipetrace.bin -window 12000:13000 [-noindex]
+//	mgtrace -trace run.pipetrace.bin [-start seq] [-count n] [-cols n]
+//	mgtrace -trace run.pipetrace.bin -window 12000:13000
 //	mgtrace -trace run.pipetrace.bin -range 500000:500200
-//	mgtrace -index run.pipetrace.bin [-index-every n]
 //	mgtrace -summary run.intervals.jsonl [-top k] [-window a:b]
 //	mgtrace -csv run.intervals.jsonl > run.csv
-//	mgtrace -critpath run.pipetrace.jsonl [-config reduced] [-top k] [-window a:b] [-attribjson f] [-attribcsv f]
+//	mgtrace -critpath run.pipetrace.bin [-config reduced] [-top k] [-window a:b] [-attribjson f] [-attribcsv f]
 //	mgtrace -spans sweep.trace
 //	mgtrace -tojsonl run.pipetrace.bin > run.pipetrace.jsonl
 //
-// Pipetrace inputs (-trace, -critpath) may be either JSONL or the binary
-// encoding written under -pipetrace-bin; the format is auto-detected. The
-// -tojsonl mode converts a binary pipetrace to JSONL on stdout,
-// byte-identical to what the run would have written with -pipetrace.
+// Runs traced with -pipetrace write the binary encoding; the -tojsonl mode
+// converts it to JSONL on stdout. Pipetrace inputs (-trace, -critpath) may
+// be either; the format is auto-detected.
 //
 // Windowed queries: -window a:b selects the records whose index cycle
 // (commit cycle, or last stage reached for squashed uops) lies in [a, b];
-// -range a:b selects records by 0-based stream ordinal. Binary traces with
-// a .mgidx sidecar (written automatically with -pipetrace-bin, or built
-// after the fact with -index) are read through the seek index — only the
-// byte ranges that can intersect the query are decoded, so jumping into a
-// multi-GB trace is cheap. Without an index the query falls back to a
-// linear scan with identical results; -noindex forces the fallback (useful
-// for diffing the two paths).
+// -range a:b selects records by 0-based stream ordinal. Both decode the
+// trace in one pass and keep only the selected records; -range stops at
+// the last record it selects.
 //
 // The -spans mode validates a Chrome trace-event file produced by the
 // -trace-out flag of mgreport/mgsim/mgselect (matched B/E pairs, monotonic
@@ -62,14 +56,14 @@ import (
 
 func main() {
 	var (
-		traceFile = flag.String("trace", "", "pipetrace JSONL file to render as a stage diagram")
+		traceFile = flag.String("trace", "", "pipetrace file to render as a stage diagram")
 		start     = flag.Int64("start", 0, "first uop sequence number to render")
 		count     = flag.Int("count", 64, "max uop rows to render")
 		cols      = flag.Int("cols", 160, "max diagram columns (cycles)")
 		summary   = flag.String("summary", "", "interval JSONL file to summarize")
 		top       = flag.Int("top", 5, "how many stall windows / coverage dips / storms to list")
 		csvFile   = flag.String("csv", "", "interval JSONL file to convert to CSV on stdout")
-		critFile  = flag.String("critpath", "", "pipetrace JSONL file to run cycle-loss attribution on")
+		critFile  = flag.String("critpath", "", "pipetrace file to run cycle-loss attribution on")
 		cfgName   = flag.String("config", "reduced", "machine configuration the trace was produced under")
 		attribJS  = flag.String("attribjson", "", "also write the attribution report as JSON to this file")
 		attribCSV = flag.String("attribcsv", "", "also write the serialization scoreboard as CSV to this file")
@@ -77,9 +71,6 @@ func main() {
 		toJSONL   = flag.String("tojsonl", "", "binary pipetrace file to convert to JSONL on stdout")
 		windowStr = flag.String("window", "", "cycle window a:b — restrict -trace/-summary/-critpath to it")
 		rangeStr  = flag.String("range", "", "record range a:b (0-based stream ordinals) — restrict -trace to it")
-		indexFile = flag.String("index", "", "binary pipetrace to build a .mgidx seek index for")
-		indexN    = flag.Int("index-every", obs.DefaultIndexEvery, "index stride (records per entry) for -index")
-		noIndex   = flag.Bool("noindex", false, "ignore any .mgidx sidecar and scan linearly (for diffing)")
 	)
 	flag.Parse()
 	if *windowStr != "" && *rangeStr != "" {
@@ -89,7 +80,7 @@ func main() {
 	did := false
 	if *traceFile != "" {
 		did = true
-		uops, events, desc, err := queryTrace(*traceFile, *windowStr, *rangeStr, *noIndex)
+		uops, events, desc, err := queryTrace(*traceFile, *windowStr, *rangeStr)
 		if err != nil {
 			fail(err)
 		}
@@ -97,12 +88,6 @@ func main() {
 			fmt.Printf("%s: %s -> %d uops, %d events\n", *traceFile, desc, len(uops), len(events))
 		}
 		if err := renderTrace(os.Stdout, uops, events, *start, *count, *cols); err != nil {
-			fail(err)
-		}
-	}
-	if *indexFile != "" {
-		did = true
-		if err := buildIndex(*indexFile, *indexN); err != nil {
 			fail(err)
 		}
 	}
@@ -234,84 +219,29 @@ func parseSpan(s string) (int64, int64, error) {
 }
 
 // queryTrace reads a pipetrace, restricted to a cycle window or record
-// range when given. desc labels the query and how it was served ("" for a
-// full read).
-func queryTrace(path, window, rng string, noIndex bool) (uops []obs.UopTrace, events []obs.TraceEvent, desc string, err error) {
+// range when given. desc labels the query ("" for a full read).
+func queryTrace(path, window, rng string) (uops []obs.UopTrace, events []obs.TraceEvent, desc string, err error) {
 	if window == "" && rng == "" {
 		uops, events, err = readTrace(path)
 		return uops, events, "", err
 	}
-	ir, done, err := openTraceReader(path, noIndex)
+	read, kind, span := obs.ReadPipetraceWindow, "window", window
+	if window == "" {
+		read, kind, span = obs.ReadPipetraceRange, "range", rng
+	}
+	a, b, err := parseSpan(span)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	defer done()
-	mode := "linear scan"
-	if ir.Indexed() {
-		mode = "seek index"
-	}
-	if window != "" {
-		a, b, perr := parseSpan(window)
-		if perr != nil {
-			return nil, nil, "", perr
-		}
-		uops, events, err = ir.Window(a, b)
-		desc = fmt.Sprintf("window %d:%d (%s)", a, b, mode)
-	} else {
-		a, b, perr := parseSpan(rng)
-		if perr != nil {
-			return nil, nil, "", perr
-		}
-		uops, events, err = ir.Range(a, b)
-		desc = fmt.Sprintf("range %d:%d (%s)", a, b, mode)
-	}
+	f, err := os.Open(path)
 	if err != nil {
+		return nil, nil, "", err
+	}
+	defer f.Close()
+	if uops, events, err = read(f, a, b); err != nil {
 		return nil, nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	return uops, events, desc, nil
-}
-
-// openTraceReader opens a pipetrace for windowed queries, through its
-// sidecar index unless noIndex forces the linear fallback.
-func openTraceReader(path string, noIndex bool) (*obs.IndexedReader, func(), error) {
-	if !noIndex {
-		ir, err := obs.OpenIndexed(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ir, func() { ir.Close() }, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	ir, err := obs.NewIndexedReader(f, nil)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return ir, func() { f.Close() }, nil
-}
-
-// buildIndex builds and writes the .mgidx sidecar for an existing binary
-// pipetrace (mgtrace -index).
-func buildIndex(path string, every int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	x, err := obs.BuildIndex(f, every)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	out := obs.IndexPath(path)
-	if err := obs.WriteIndexFile(out, x); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d records (%d uops, %d events), commit cycles %d..%d, %d index entries (every %d)\n",
-		out, x.Records, x.Uops, x.Events, x.MinCycle, x.MaxCycle, len(x.Entries), x.Every)
-	return nil
+	return uops, events, fmt.Sprintf("%s %d:%d", kind, a, b), nil
 }
 
 // windowIntervals keeps the intervals overlapping cycle window [a, b].

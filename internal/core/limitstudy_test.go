@@ -86,7 +86,7 @@ func TestLimitStudyIsASweep(t *testing.T) {
 	}
 
 	_, err := LimitStudy(name, Options{Input: "small", Sample: rep,
-		Obs: &obs.Options{Dir: t.TempDir(), PipetraceBin: true}})
+		Obs: &obs.Options{Dir: t.TempDir(), Pipetrace: true}})
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("sampled and observed limit study: err = %v, want the sweep's mutual-exclusion error", err)
 	}

@@ -48,7 +48,7 @@ type sampledRun struct {
 // every Bench.RunSampledReport, which takes its plan from the bench's plan
 // cache, must equal a fresh pipeline.RunSampledReport, which builds its own,
 // and the cache must compute exactly one plan per distinct planTuple among
-// the runs that sample representatively (uniform and full runs need none) —
+// the runs that sample (runs of a trace that fits one interval need none) —
 // serially, and for intx.gen07 also from four goroutines on a fresh bench.
 // A plan run under another key or against another trace is an error.
 func TestBenchSampledPlans(t *testing.T) {
@@ -62,12 +62,10 @@ func TestBenchSampledPlans(t *testing.T) {
 		{Mode: rep, Interval: 1000, Window: 1000},
 		{Mode: rep, Interval: 1000, Window: 1000, Clusters: 4},
 		{Mode: rep, Interval: 1000, Window: 500},
-		// Warmup and Workers are not in the key: this spec shares the
-		// first one's plan.
-		{Mode: rep, Interval: 1000, Window: 1000, Warmup: 2000, Workers: 2},
+		// Workers is not in the key: this spec shares the first one's plan.
+		{Mode: rep, Interval: 1000, Window: 1000, Workers: 2},
 		// comm.ipchk's 4109-record trace fits one interval: it runs in full.
 		{Mode: rep, Interval: 5000, Window: 1000},
-		{Interval: 4000, Window: 1000, Warmup: 500},
 	}
 	benches := map[string]*Bench{}
 	// intx.gen07's last window ends inside its pre-roll.
@@ -94,7 +92,7 @@ func TestBenchSampledPlans(t *testing.T) {
 		planned := 0
 		for i, r := range runs {
 			want[i] = outcomeOf(pipeline.RunSampledReport(context.Background(), b.Prog, b.Trace, r.cfg, mgConfigFor(r.sel, r.chosen), r.spec))
-			if r.spec.Mode == rep && !want[i].rep.Full {
+			if !want[i].rep.Full {
 				plans[planTuple{r.cfg.Hier, r.cfg.Bpred, r.spec.Interval, r.spec.Window, r.spec.Clusters}] = true
 				planned++
 			}
@@ -165,12 +163,12 @@ func TestBenchSampledPlans(t *testing.T) {
 	if _, _, err := pipeline.RunRepPlan(context.Background(), pl, other.Prog, other.Trace, red, pipeline.MGConfig{}, spec); err == nil {
 		t.Error("plan ran against another trace")
 	}
-	uniform := spec
-	uniform.Mode = pipeline.SampleUniform
+	noMode := spec
+	noMode.Mode = 0
 	for _, c := range []struct {
 		cfg  pipeline.Config
 		spec pipeline.SampleSpec
-	}{{pipeline.SmallDMem(), spec}, {smallBP, spec}, {red, specs[1]}, {red, specs[2]}, {red, uniform}} {
+	}{{pipeline.SmallDMem(), spec}, {smallBP, spec}, {red, specs[1]}, {red, specs[2]}, {red, noMode}} {
 		if _, _, err := pipeline.RunRepPlan(context.Background(), pl, b.Prog, b.Trace, c.cfg, pipeline.MGConfig{}, c.spec); err == nil {
 			t.Errorf("plan for %s %s ran on %s %s", red.Name, spec.Summary(), c.cfg.Name, c.spec.Summary())
 		}

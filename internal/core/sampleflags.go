@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -12,22 +13,28 @@ import (
 // resolves it into a *pipeline.SampleSpec the same way, so "mgsim
 // -sample-mode rep" and "mgreport -sample-mode rep" mean the same thing.
 
-// SampleFlags registers the -sample-* flags on the default flag set and
-// returns a resolver to call after flag.Parse. The resolver yields nil when
-// -sample-mode is unset (full-detail simulation, the default) and rejects
-// orphan sampling flags so a typo'd invocation can't silently run exact.
-func SampleFlags() func() (*pipeline.SampleSpec, error) {
+// SampleFlags registers the -sample-* flags on fs (the commands pass
+// flag.CommandLine) and returns a resolver to call after parsing. The
+// resolver yields nil when -sample-mode is unset (full-detail simulation,
+// the default) and rejects every other -sample-* flag set without it, so a
+// typo'd invocation can't silently run exact.
+func SampleFlags(fs *flag.FlagSet) func() (*pipeline.SampleSpec, error) {
 	var (
-		mode     = flag.String("sample-mode", "", `sampled (estimated) fidelity: "uniform" periodic windows or "rep" representative intervals; empty = full detail`)
-		interval = flag.Int("sample-interval", 0, "instructions between window starts (uniform) / feature-interval length (rep); 0 = mode default (50000 uniform, 1000 rep)")
-		window   = flag.Int("sample-window", 1000, "detailed window length in instructions")
-		warmup   = flag.Int("sample-warmup", 2000, "detailed warm-up instructions before each uniform window (rep mode warms functionally instead)")
-		clusters = flag.Int("sample-clusters", 0, "detailed windows (k-means clusters) in rep mode; 0 = auto-scale with trace length")
+		mode     = fs.String("sample-mode", "", `sampled (estimated) fidelity: "rep" representative intervals; empty = full detail`)
+		interval = fs.Int("sample-interval", 1000, "feature-interval length in instructions; a trace that fits one interval runs in full detail")
+		window   = fs.Int("sample-window", 1000, "detailed window length in instructions")
+		clusters = fs.Int("sample-clusters", 0, "detailed-window budget; 0 = auto-scale with trace length")
 	)
 	return func() (*pipeline.SampleSpec, error) {
 		if *mode == "" {
-			if *interval != 0 || *clusters != 0 {
-				return nil, fmt.Errorf("-sample-interval/-sample-clusters need -sample-mode (uniform or rep)")
+			var orphans []string
+			fs.Visit(func(f *flag.Flag) {
+				if strings.HasPrefix(f.Name, "sample-") && f.Name != "sample-mode" {
+					orphans = append(orphans, "-"+f.Name)
+				}
+			})
+			if len(orphans) > 0 {
+				return nil, fmt.Errorf("%s set without -sample-mode rep", strings.Join(orphans, ", "))
 			}
 			return nil, nil
 		}
@@ -35,18 +42,9 @@ func SampleFlags() func() (*pipeline.SampleSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		iv := *interval
-		if iv == 0 {
-			if m == pipeline.SampleRepresentative {
-				iv = 1000
-			} else {
-				iv = 50000
-			}
-		}
 		return &pipeline.SampleSpec{
-			Interval: iv,
+			Interval: *interval,
 			Window:   *window,
-			Warmup:   *warmup,
 			Mode:     m,
 			Clusters: *clusters,
 		}, nil
@@ -59,11 +57,7 @@ func SampleBanner(spec pipeline.SampleSpec, rep pipeline.SampleReport) string {
 	if rep.Full {
 		return fmt.Sprintf("sampled %s: trace fits one interval — ran in full detail", spec.Summary())
 	}
-	if rep.Mode == pipeline.SampleRepresentative {
-		return fmt.Sprintf("sampled %s (estimate): %d intervals -> %d windows, %d detailed + %d warmed instrs (%.2f%% detailed), errbound ±%.2f%%",
-			spec.Summary(), rep.Intervals, rep.Windows, rep.DetailInstrs, rep.WarmInstrs,
-			100*rep.SimulatedFrac, 100*rep.ErrBound)
-	}
-	return fmt.Sprintf("sampled %s (estimate): %d windows, %d detailed instrs (%.2f%% of trace)",
-		spec.Summary(), rep.Windows, rep.DetailInstrs, 100*rep.SimulatedFrac)
+	return fmt.Sprintf("sampled %s (estimate): %d intervals -> %d windows, %d detailed + %d warmed instrs (%.2f%% detailed), errbound ±%.2f%%",
+		spec.Summary(), rep.Intervals, rep.Windows, rep.DetailInstrs, rep.WarmInstrs,
+		100*rep.SimulatedFrac, 100*rep.ErrBound)
 }

@@ -285,36 +285,32 @@ func TestTraceCoversEveryTask(t *testing.T) {
 // a run opened on a background context lands on pid 0 tid 0, where
 // concurrent runs interleave and the export is invalid.
 func TestSampledTraceNestsUnderSimulate(t *testing.T) {
-	for _, sample := range []pipeline.SampleSpec{
-		{Interval: 1000, Window: 1000, Mode: pipeline.SampleRepresentative},
-		{Interval: 5000, Window: 1000, Warmup: 250},
-	} {
-		for _, workers := range []int{2, 4} {
-			spans := runTracedSweep(t, workers, &sample)
-			name := fmt.Sprintf("%s workers=%d", sample.Summary(), workers)
-			byID := make(map[int64]metrics.SpanRecord, len(spans))
-			for _, s := range spans {
-				byID[s.ID] = s
+	sample := pipeline.SampleSpec{Interval: 1000, Window: 1000, Mode: pipeline.SampleRepresentative}
+	for _, workers := range []int{2, 4} {
+		spans := runTracedSweep(t, workers, &sample)
+		name := fmt.Sprintf("%s workers=%d", sample.Summary(), workers)
+		byID := make(map[int64]metrics.SpanRecord, len(spans))
+		for _, s := range spans {
+			byID[s.ID] = s
+		}
+		var runs, orphans int
+		for _, s := range spans {
+			if s.Name != "sampled.rep" {
+				continue
 			}
-			var runs, orphans int
-			for _, s := range spans {
-				if s.Name != "sampled.rep" && s.Name != "sampled.run" {
-					continue
-				}
-				runs++
-				if byID[s.Parent].Name != "simulate" {
-					orphans++
-				}
+			runs++
+			if byID[s.Parent].Name != "simulate" {
+				orphans++
 			}
-			if runs == 0 {
-				t.Errorf("%s: no sampled run spans", name)
-			}
-			if orphans > 0 {
-				t.Errorf("%s: %d of %d sampled run spans have no simulate parent", name, orphans, runs)
-			}
-			if err := validChromeTrace(spans); err != nil {
-				t.Errorf("%s: trace invalid: %v", name, err)
-			}
+		}
+		if runs == 0 {
+			t.Errorf("%s: no sampled run spans", name)
+		}
+		if orphans > 0 {
+			t.Errorf("%s: %d of %d sampled run spans have no simulate parent", name, orphans, runs)
+		}
+		if err := validChromeTrace(spans); err != nil {
+			t.Errorf("%s: trace invalid: %v", name, err)
 		}
 	}
 }

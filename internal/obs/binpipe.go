@@ -6,16 +6,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
-// Binary pipetrace encoding. The JSONL pipetrace costs one json.Encoder
-// allocation pass per record, which dominates the allocation profile of a
-// traced run; the binary encoding streams the same records as
-// length-prefixed fixed-layout little-endian structs into a reused scratch
-// buffer, so tracing allocates nothing per record. ReadPipetrace
-// auto-detects the format, so every existing consumer (mgtrace rendering,
-// critpath attribution) reads both; ConvertPipetrace re-encodes a binary
-// trace as JSONL byte-identically to a run traced with -pipetrace.
+// Binary pipetrace encoding, the one traced runs write. A JSONL encoder
+// costs one json.Encoder allocation pass per record; the binary encoding
+// streams the same records as length-prefixed fixed-layout little-endian
+// structs into a reused scratch buffer, so tracing allocates nothing per
+// record. ConvertPipetrace re-encodes a binary trace as JSONL for readers
+// that want text, and ReadPipetrace auto-detects either format.
 //
 // Stream layout (all integers little-endian):
 //
@@ -126,7 +125,7 @@ func (t *Pipetrace) binUop(r *UopTrace) error {
 	for _, s := range r.Srcs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(s))
 	}
-	return t.binRecord(b, r.IndexCycle(), true)
+	return t.binRecord(b)
 }
 
 // binEvent appends one event record to the scratch buffer and writes it.
@@ -140,27 +139,17 @@ func (t *Pipetrace) binEvent(e *TraceEvent) error {
 	b = binary.LittleEndian.AppendUint32(b, uint32(e.Template))
 	b = append(b, byte(len(e.Ev)))
 	b = append(b, e.Ev...)
-	return t.binRecord(b, e.Cycle, false)
+	return t.binRecord(b)
 }
 
 // binRecord patches the payload length into b's 5-byte [tag][len] header
 // and writes the whole record in one call. The record is assembled in
-// t.scratch (handed through b) so steady-state emission never allocates;
-// for the same reason the index builder only sees the already-assembled
-// bytes (a few integer compares per record plus a CRC over the first
-// 64 KiB of the stream).
-func (t *Pipetrace) binRecord(b []byte, cycle int64, isUop bool) error {
+// t.scratch (handed through b) so steady-state emission never allocates.
+func (t *Pipetrace) binRecord(b []byte) error {
 	binary.LittleEndian.PutUint32(b[1:5], uint32(len(b)-5))
 	t.scratch = b
-	if t.ixb != nil {
-		t.ixb.note(t.off, cycle, isUop)
-		t.ixb.head(b)
-	}
-	if _, err := t.bw.Write(b); err != nil {
-		return err
-	}
-	t.off += int64(len(b))
-	return nil
+	_, err := t.bw.Write(b)
+	return err
 }
 
 // binReader streams records out of a binary pipetrace. Strings are
@@ -171,11 +160,6 @@ type binReader struct {
 	buf    []byte
 	rec    int // 1-based record number, for errors
 	intern map[string]string
-
-	off    int64  // byte offset of the next unread record
-	recOff int64  // byte offset of the most recently decoded record
-	track  bool   // keep raw bytes of each record (index building)
-	raw    []byte // raw record bytes (header + payload) when track is set
 }
 
 // newBinReader consumes the magic (which the caller has already sniffed)
@@ -185,7 +169,7 @@ func newBinReader(br *bufio.Reader) (*binReader, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != binMagic {
 		return nil, fmt.Errorf("pipetrace: bad binary magic")
 	}
-	return &binReader{br: br, intern: make(map[string]string, 16), off: int64(len(binMagic))}, nil
+	return &binReader{br: br, intern: make(map[string]string, 16)}, nil
 }
 
 // next decodes the next record into exactly one of u or e. It returns
@@ -217,12 +201,6 @@ func (d *binReader) next(u *UopTrace, e *TraceEvent) (isUop bool, err error) {
 	if _, err := io.ReadFull(d.br, p); err != nil {
 		return false, d.corrupt(err)
 	}
-	d.recOff = d.off
-	d.off += int64(len(hdr)) + int64(n)
-	if d.track {
-		d.raw = append(d.raw[:0], hdr[:]...)
-		d.raw = append(d.raw, p...)
-	}
 	if tag == binTagUop {
 		return true, d.decodeUop(p, u)
 	}
@@ -236,13 +214,19 @@ func (d *binReader) corrupt(err error) error {
 	return fmt.Errorf("pipetrace record %d: %w", d.rec+1, err)
 }
 
-func (d *binReader) str(b []byte) string {
+// str returns b as an interned string. A string that is not UTF-8 is
+// corruption: the simulator never writes one, and JSONL could not carry it
+// through ConvertPipetrace.
+func (d *binReader) str(b []byte, what string) (string, error) {
 	if s, ok := d.intern[string(b)]; ok {
-		return s
+		return s, nil
+	}
+	if !utf8.Valid(b) {
+		return "", fmt.Errorf("pipetrace record %d: %s %q is not UTF-8", d.rec, what, b)
 	}
 	s := string(b)
 	d.intern[s] = s
-	return s
+	return s, nil
 }
 
 func (d *binReader) decodeUop(p []byte, u *UopTrace) error {
@@ -284,7 +268,10 @@ func (d *binReader) decodeUop(p []byte, u *UopTrace) error {
 	if off+1 > len(p) {
 		return fmt.Errorf("pipetrace record %d: mnemonic overruns payload", d.rec)
 	}
-	u.Op = d.str(p[binUopFixed:off])
+	var err error
+	if u.Op, err = d.str(p[binUopFixed:off], "mnemonic"); err != nil {
+		return err
+	}
 	nsrc := int(p[off])
 	off++
 	if off+4*nsrc > len(p) {
@@ -314,33 +301,36 @@ func (d *binReader) decodeEvent(p []byte, e *TraceEvent) error {
 	if binEventFixed+evLen > len(p) {
 		return fmt.Errorf("pipetrace record %d: event kind overruns payload", d.rec)
 	}
-	e.Ev = d.str(p[binEventFixed : binEventFixed+evLen])
-	return nil
+	var err error
+	e.Ev, err = d.str(p[binEventFixed:binEventFixed+evLen], "event kind")
+	return err
 }
 
-// readBinaryPipetrace parses a whole binary stream into uop and event
-// slices, mirroring the JSONL reader's result shape.
-func readBinaryPipetrace(br *bufio.Reader) ([]UopTrace, []TraceEvent, error) {
+// scanBinary is scanPipetrace's binary decoder: it consumes the magic and
+// hands fn each record until fn returns false or the stream ends.
+func scanBinary(br *bufio.Reader, fn func(u *UopTrace, e *TraceEvent) bool) error {
 	d, err := newBinReader(br)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	var uops []UopTrace
-	var events []TraceEvent
+	var u UopTrace
+	var e TraceEvent
 	for {
-		var u UopTrace
-		var e TraceEvent
 		isUop, err := d.next(&u, &e)
 		if err == io.EOF {
-			return uops, events, nil
+			return nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
+		more := false
 		if isUop {
-			uops = append(uops, u)
+			more = fn(&u, nil)
 		} else {
-			events = append(events, e)
+			more = fn(nil, &e)
+		}
+		if !more {
+			return nil
 		}
 	}
 }
@@ -353,33 +343,23 @@ func sniffBinary(br *bufio.Reader) bool {
 }
 
 // ConvertPipetrace re-encodes a binary pipetrace from r as JSONL on w, in
-// record order. Because it drives the same JSONL encoder a live run uses,
-// the output is byte-identical to the trace the run would have written
-// with -pipetrace instead of -pipetrace-bin.
+// record order, with the JSONL encoder of NewPipetrace.
 func ConvertPipetrace(r io.Reader, w io.Writer) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if !sniffBinary(br) {
 		return fmt.Errorf("pipetrace: input is not a binary pipetrace (no %q magic)", binMagic)
 	}
-	d, err := newBinReader(br)
-	if err != nil {
-		return err
-	}
 	out := NewPipetrace(w)
-	for {
-		var u UopTrace
-		var e TraceEvent
-		isUop, err := d.next(&u, &e)
-		if err == io.EOF {
-			return out.Flush()
-		}
-		if err != nil {
-			return err
-		}
-		if isUop {
-			out.Uop(u)
+	err := scanBinary(br, func(u *UopTrace, e *TraceEvent) bool {
+		if u != nil {
+			out.Uop(*u)
 		} else {
 			out.Event(e.Cycle, e.Ev, e.Template, e.Seq)
 		}
+		return out.err == nil
+	})
+	if err != nil {
+		return err
 	}
+	return out.Flush()
 }

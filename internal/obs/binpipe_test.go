@@ -128,13 +128,18 @@ func TestBinaryPipetraceCorruption(t *testing.T) {
 	bad[len(binMagic)+5+102] = 0x2a
 	check("bad kind", bad, "unknown kind code")
 
+	// A mnemonic that is not UTF-8 could not survive ConvertPipetrace.
+	bad = bytes.Clone(whole)
+	bad[len(binMagic)+5+binUopFixed] = 0xff
+	check("bad mnemonic", bad, "not UTF-8")
+
 	// A header alone (magic + tag byte, no length) is truncated too.
 	check("header only", whole[:len(binMagic)+1], "truncated")
 }
 
 // A stream that opens with neither '{' nor the magic falls through to the
 // JSONL parser and fails there with a line-numbered error, and a truncated
-// magic is not misread as binary.
+// or mangled magic is not misread as JSONL by any of the three reads.
 func TestReadPipetraceSniffing(t *testing.T) {
 	if _, _, err := ReadPipetrace(strings.NewReader("garbage\n")); err == nil {
 		t.Error("garbage stream parsed without error")
@@ -145,6 +150,13 @@ func TestReadPipetraceSniffing(t *testing.T) {
 	}
 	if _, _, err := ReadPipetrace(strings.NewReader(string(binMagic[:4]))); err == nil {
 		t.Error("truncated magic parsed without error")
+	}
+	const mangled = "MGPTxxxx garbage"
+	if _, _, err := ReadPipetraceWindow(strings.NewReader(mangled), 0, 1); err == nil || !strings.Contains(err.Error(), "corrupt binary magic") {
+		t.Errorf("window read of a mangled magic: %v", err)
+	}
+	if _, _, err := ReadPipetraceRange(strings.NewReader(mangled), 0, 1); err == nil || !strings.Contains(err.Error(), "corrupt binary magic") {
+		t.Errorf("range read of a mangled magic: %v", err)
 	}
 }
 

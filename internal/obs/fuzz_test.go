@@ -2,15 +2,19 @@ package obs
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzReadPipetrace checks that the pipetrace reader, binary and JSONL
-// alike, rejects bad input with an error and never panics.
+// alike, rejects bad input with an error and never panics, and that for
+// every input it accepts the other reads agree with it: the window read
+// over the trace's whole index-cycle span and the range read over every
+// record return the same records, and a binary trace converted to JSONL
+// reads back the same.
 func FuzzReadPipetrace(f *testing.F) {
 	for _, name := range []string{"pipetrace.golden.bin", "pipetrace.golden.jsonl"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -22,54 +26,43 @@ func FuzzReadPipetrace(f *testing.F) {
 	f.Add(binMagic[:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadPipetrace(bytes.NewReader(data))
-	})
-}
-
-// FuzzReadIndex checks that the seek-index reader never panics and that
-// every index it accepts re-encodes byte-identically. Each input is also
-// tried with its checksum recomputed, so mutations reach the structural
-// checks behind the CRC.
-func FuzzReadIndex(f *testing.F) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "pipetrace.golden.bin"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	idx, err := BuildIndex(bytes.NewReader(raw), 4)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var seed bytes.Buffer
-	if err := WriteIndex(&seed, idx); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add(idxMagic[:])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, in := range [][]byte{data, withIndexCRC(data)} {
-			x, err := ReadIndex(bytes.NewReader(in))
+		uops, events, err := ReadPipetrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		same := func(what string, u []UopTrace, e []TraceEvent, err error) {
+			t.Helper()
 			if err != nil {
-				continue
+				t.Fatalf("%s rejects what ReadPipetrace accepts: %v", what, err)
 			}
-			var out bytes.Buffer
-			if err := WriteIndex(&out, x); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), in) {
-				t.Fatalf("accepted index re-encodes differently:\n in  %x\n out %x", in, out.Bytes())
+			if !reflect.DeepEqual(u, uops) || !reflect.DeepEqual(e, events) {
+				t.Fatalf("%s: %d uops, %d events; ReadPipetrace: %d uops, %d events",
+					what, len(u), len(e), len(uops), len(events))
 			}
 		}
-	})
-}
 
-// withIndexCRC returns a copy of data with the index checksum, which sits
-// in the 4 bytes before the 8-byte end magic, recomputed.
-func withIndexCRC(data []byte) []byte {
-	if len(data) < 12 {
-		return data
-	}
-	out := bytes.Clone(data)
-	off := len(out) - 12
-	binary.LittleEndian.PutUint32(out[off:], crc32.Checksum(out[:off], crcTab))
-	return out
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := range uops {
+			lo, hi = min(lo, uops[i].IndexCycle()), max(hi, uops[i].IndexCycle())
+		}
+		for _, e := range events {
+			lo, hi = min(lo, e.Cycle), max(hi, e.Cycle)
+		}
+		if n := int64(len(uops) + len(events)); n > 0 {
+			u, e, err := ReadPipetraceWindow(bytes.NewReader(data), lo, hi)
+			same("window read", u, e, err)
+			u, e, err = ReadPipetraceRange(bytes.NewReader(data), 0, n-1)
+			same("range read", u, e, err)
+		}
+
+		if !bytes.HasPrefix(data, binMagic[:]) {
+			return
+		}
+		var jsonl bytes.Buffer
+		if err := ConvertPipetrace(bytes.NewReader(data), &jsonl); err != nil {
+			t.Fatalf("ConvertPipetrace rejects what ReadPipetrace accepts: %v", err)
+		}
+		u, e, err := ReadPipetrace(&jsonl)
+		same("ConvertPipetrace then ReadPipetrace", u, e, err)
+	})
 }

@@ -1,36 +1,13 @@
 package obs
 
-import (
-	"sync/atomic"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-)
-
-// Scrape-time observability metrics for the trace layer itself: how many
-// seek indexes have been written and how busy the flight recorder is.
-// Counters are bumped off the hot path (index writes happen once per run)
-// or read lazily at scrape time (flight totals), matching the repo rule
-// that /metrics never adds work to the cycle loop.
-
-var (
-	traceIndexesWritten atomic.Int64
-	traceIndexEntries   atomic.Int64
-)
-
-// noteIndexWritten records one serialized index (called by WriteIndex).
-func noteIndexWritten(entries int64) {
-	traceIndexesWritten.Add(1)
-	traceIndexEntries.Add(entries)
-}
+// Scrape-time observability metrics for the trace layer itself: how busy
+// the flight recorder is. The totals are read lazily at scrape time,
+// matching the repo rule that /metrics never adds work to the cycle loop.
 
 // InstallMetrics registers the obs package's metrics on reg.
 func InstallMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("mg_trace_indexes_total",
-		"Pipetrace seek indexes written by this process.",
-		func() float64 { return float64(traceIndexesWritten.Load()) })
-	reg.CounterFunc("mg_trace_index_entries_total",
-		"Seek-index entries written across all indexes.",
-		func() float64 { return float64(traceIndexEntries.Load()) })
 	reg.CounterFunc("mg_flight_records_total",
 		"Uop records captured by the flight recorder (0 when disabled).",
 		func() float64 {

@@ -37,14 +37,11 @@ func TestOptionsActive(t *testing.T) {
 	if !(&Options{Pipetrace: true}).Active() || !(&Options{IntervalEvery: 100}).Active() {
 		t.Error("enabled Options should be active")
 	}
-	if FlagOptions(false, false, 0, "x") != nil {
+	if FlagOptions(false, 0, "x") != nil {
 		t.Error("FlagOptions with nothing enabled should be nil")
 	}
-	if o := FlagOptions(true, false, 0, ""); o == nil || o.Dir != "obs" {
+	if o := FlagOptions(true, 0, ""); o == nil || o.Dir != "obs" || !o.Pipetrace {
 		t.Errorf("FlagOptions default dir = %+v", o)
-	}
-	if o := FlagOptions(false, true, 0, ""); !o.Active() || !o.PipetraceBin {
-		t.Errorf("FlagOptions binary mode = %+v", o)
 	}
 }
 
@@ -336,7 +333,7 @@ func TestObserverFilesAndClose(t *testing.T) {
 		Fetch: 0, Rename: 1, Issue: 2, Done: 3, Ready: 3, Commit: 4})
 	o.Intervals.Sample(CycleSnapshot{Cycle: 100, Instrs: 5, Uops: 5})
 	files := o.Files()
-	want := []string{"w__series.pipetrace.jsonl", "w__series.intervals.jsonl"}
+	want := []string{"w__series.pipetrace.bin", "w__series.intervals.jsonl"}
 	if !reflect.DeepEqual(files, want) {
 		t.Errorf("Files = %v, want %v", files, want)
 	}
@@ -361,10 +358,11 @@ func TestObserverFilesAndClose(t *testing.T) {
 // The on-disk schemas are stable: renames, reorderings, or type changes of
 // existing fields break consumers of previously written traces. Golden
 // files pin the byte-exact encoding (regenerate with -update only for
-// deliberate, append-only schema growth).
+// deliberate, append-only schema growth). The JSONL pipetrace is what
+// ConvertPipetrace makes of the binary trace a run writes.
 func TestSchemaGoldens(t *testing.T) {
-	var trace bytes.Buffer
-	tr := NewPipetrace(&trace)
+	var bin bytes.Buffer
+	tr := NewBinaryPipetrace(&bin)
 	tr.Uop(UopTrace{Seq: 7, Static: 3, Kind: "handle", Op: "addi", N: 3,
 		Fetch: 10, Rename: 12, Issue: 14, Done: 17, Ready: 16, Commit: 18,
 		Dst: 5, Srcs: []int{1, 2}, Tmpl: 2, Mem: MemNone, SerLat: 2, SerOut: 1})
@@ -378,6 +376,10 @@ func TestSchemaGoldens(t *testing.T) {
 	tr.Event(30, EvDisable, 2, -1)
 	tr.Event(90, EvReenable, 2, -1)
 	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	if err := ConvertPipetrace(&bin, &trace); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "pipetrace.golden.jsonl", trace.Bytes())

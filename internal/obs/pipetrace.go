@@ -68,6 +68,23 @@ func HasDeps(uops []UopTrace) bool {
 	return false
 }
 
+// IndexCycle returns the cycle a record is windowed by: the commit cycle
+// for committed uops, and the last stage the uop reached for squashed ones
+// (their commit is -1). Window reads and the flight recorder's window
+// filter both use it, so they agree on which records a window holds.
+func (u *UopTrace) IndexCycle() int64 {
+	if u.Commit >= 0 {
+		return u.Commit
+	}
+	c := int64(0)
+	for _, t := range [...]int64{u.Fetch, u.Rename, u.Issue, u.Done, u.Ready} {
+		if t > c {
+			c = t
+		}
+	}
+	return c
+}
+
 // Trace event kinds.
 const (
 	EvFlush    = "flush"    // memory-ordering violation pipeline flush
@@ -85,11 +102,12 @@ type TraceEvent struct {
 	Seq      int64  `json:"seq"`
 }
 
-// Pipetrace streams uop records and events, as JSONL (NewPipetrace) or
-// the binary encoding in binpipe.go (NewBinaryPipetrace). Write errors are
-// sticky: the first one is retained and reported by Flush, and later
-// writes become no-ops (the simulation must not fail mid-run because a
-// trace disk filled up).
+// Pipetrace streams uop records and events, in the binary encoding of
+// binpipe.go (NewBinaryPipetrace), which traced runs write, or as JSONL
+// (NewPipetrace), which ConvertPipetrace writes. Write errors are sticky:
+// the first one is retained and reported by Flush, and later writes become
+// no-ops (the simulation must not fail mid-run because a trace disk filled
+// up).
 type Pipetrace struct {
 	bw  *bufio.Writer
 	enc *json.Encoder // nil in binary mode
@@ -97,9 +115,6 @@ type Pipetrace struct {
 	err error
 
 	scratch []byte // binary-mode record assembly buffer, reused
-
-	off int64         // binary-mode byte offset of the next record
-	ixb *indexBuilder // non-nil after EnableIndex
 
 	// Uops and Events count emitted records.
 	Uops, Events int64
@@ -113,43 +128,15 @@ func NewPipetrace(w io.Writer) *Pipetrace {
 
 // NewBinaryPipetrace creates a pipetrace streaming the binary encoding to
 // w (see binpipe.go for the format). Unlike the JSONL encoder it performs
-// no per-record allocation, so it is the tracing mode that keeps
-// steady-state simulation allocation-free.
+// no per-record allocation, so tracing keeps steady-state simulation
+// allocation-free.
 func NewBinaryPipetrace(w io.Writer) *Pipetrace {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	t := &Pipetrace{bw: bw, bin: true, scratch: make([]byte, 0, 256), off: int64(len(binMagic))}
+	t := &Pipetrace{bw: bw, bin: true, scratch: make([]byte, 0, 256)}
 	if _, err := bw.Write(binMagic[:]); err != nil {
 		t.err = err
 	}
 	return t
-}
-
-// EnableIndex makes the trace build its seek index inline as records are
-// written (see traceindex.go). Binary mode only, and only before the first
-// record; every <= 0 selects DefaultIndexEvery.
-func (t *Pipetrace) EnableIndex(every int) error {
-	if !t.bin {
-		return fmt.Errorf("pipetrace: only binary traces are indexable")
-	}
-	if t.Uops+t.Events > 0 {
-		return fmt.Errorf("pipetrace: EnableIndex after %d records already written", t.Uops+t.Events)
-	}
-	if every <= 0 {
-		every = DefaultIndexEvery
-	}
-	t.ixb = newIndexBuilder(every)
-	t.ixb.head(binMagic[:])
-	return nil
-}
-
-// Index seals and returns the inline-built seek index, or nil when
-// EnableIndex was never called. Call it after the final record (typically
-// right after Flush); records written afterwards are not indexed.
-func (t *Pipetrace) Index() *Index {
-	if t.ixb == nil {
-		return nil
-	}
-	return t.ixb.finish(t.off)
 }
 
 // Uop emits one uop record.
@@ -212,24 +199,85 @@ type traceLine struct {
 // with the binary magic decodes as the binary encoding, anything else as
 // JSONL.
 func ReadPipetrace(r io.Reader) ([]UopTrace, []TraceEvent, error) {
+	return readPipetrace(r, func(_, _ int64) (bool, bool) { return true, true })
+}
+
+// ReadPipetraceWindow reads the records whose index cycle (see
+// UopTrace.IndexCycle; an event's is its cycle) lies in [start, end],
+// inclusive, in file order. It decodes the whole stream but holds only the
+// records it returns.
+func ReadPipetraceWindow(r io.Reader, start, end int64) ([]UopTrace, []TraceEvent, error) {
+	if start > end {
+		return nil, nil, fmt.Errorf("pipetrace window: start cycle %d after end %d", start, end)
+	}
+	return readPipetrace(r, func(_, cycle int64) (bool, bool) {
+		return cycle >= start && cycle <= end, true
+	})
+}
+
+// ReadPipetraceRange reads the records whose 0-based stream ordinal lies in
+// [start, end], inclusive, and stops decoding after the last of them.
+func ReadPipetraceRange(r io.Reader, start, end int64) ([]UopTrace, []TraceEvent, error) {
+	if start > end {
+		return nil, nil, fmt.Errorf("pipetrace range: start record %d after end %d", start, end)
+	}
+	return readPipetrace(r, func(ord, _ int64) (bool, bool) {
+		return ord >= start, ord < end
+	})
+}
+
+// readPipetrace decodes r once, in file order, and keeps the records keep
+// takes. keep sees each record's 0-based stream ordinal and index cycle,
+// and also says whether to decode further.
+func readPipetrace(r io.Reader, keep func(ord, cycle int64) (take, more bool)) ([]UopTrace, []TraceEvent, error) {
+	var uops []UopTrace
+	var events []TraceEvent
+	var ord int64
+	err := scanPipetrace(r, func(u *UopTrace, e *TraceEvent) bool {
+		cycle := int64(0)
+		if u != nil {
+			cycle = u.IndexCycle()
+		} else {
+			cycle = e.Cycle
+		}
+		take, more := keep(ord, cycle)
+		ord++
+		switch {
+		case !take:
+		case u != nil:
+			uops = append(uops, *u)
+		default:
+			events = append(events, *e)
+		}
+		return more
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return uops, events, nil
+}
+
+// scanPipetrace decodes r record by record, in file order, and hands each
+// to fn: a uop as u with e nil, or an event as e with u nil. fn must not
+// keep the pointers, and returns false to stop the scan. The format is
+// auto-detected as in ReadPipetrace.
+func scanPipetrace(r io.Reader, fn func(u *UopTrace, e *TraceEvent) bool) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if sniffBinary(br) {
-		return readBinaryPipetrace(br)
+		return scanBinary(br, fn)
 	}
 	// A stream that starts like the binary magic but doesn't complete it is
 	// a mangled binary trace (e.g. text-mode newline translation), not
 	// JSONL; handing it to the JSONL parser would bury the real problem
 	// under a confusing parse error.
-	if head, err := br.Peek(4); err == nil && bytes.Equal(head, binMagic[:4]) {
-		full, _ := br.Peek(len(binMagic))
-		return nil, nil, fmt.Errorf("pipetrace: corrupt binary magic %q (want %q)", full, binMagic)
+	if head, _ := br.Peek(len(binMagic)); len(head) >= 4 && bytes.Equal(head[:4], binMagic[:4]) {
+		return fmt.Errorf("pipetrace: corrupt binary magic %q (want %q)", head, binMagic)
 	}
-	return readJSONLPipetrace(br)
+	return scanJSONL(br, fn)
 }
 
-func readJSONLPipetrace(r io.Reader) ([]UopTrace, []TraceEvent, error) {
-	var uops []UopTrace
-	var events []TraceEvent
+// scanJSONL is scanPipetrace's JSONL decoder.
+func scanJSONL(r io.Reader, fn func(u *UopTrace, e *TraceEvent) bool) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	line := 0
@@ -241,24 +289,26 @@ func readJSONLPipetrace(r io.Reader) ([]UopTrace, []TraceEvent, error) {
 		}
 		var l traceLine
 		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, nil, fmt.Errorf("pipetrace line %d: %w", line, err)
+			return fmt.Errorf("pipetrace line %d: %w", line, err)
 		}
+		var more bool
 		switch l.Type {
 		case "uop":
-			uops = append(uops, l.UopTrace)
+			more = fn(&l.UopTrace, nil)
 		case "ev":
-			events = append(events, TraceEvent{
-				Type: "ev", Cycle: l.Cycle, Ev: l.Ev, Template: l.Template, Seq: l.Seq,
-			})
+			more = fn(nil, &TraceEvent{Type: "ev", Cycle: l.Cycle, Ev: l.Ev, Template: l.Template, Seq: l.Seq})
 		default:
-			return nil, nil, fmt.Errorf("pipetrace line %d: unknown record type %q", line, l.Type)
+			return fmt.Errorf("pipetrace line %d: unknown record type %q", line, l.Type)
+		}
+		if !more {
+			return nil
 		}
 	}
 	if err := sc.Err(); err != nil {
 		// A scanner error aborts the parse mid-file; the record after the
 		// last parsed line is the culprit (e.g. a line longer than the 1 MiB
 		// buffer reports bufio.ErrTooLong with no position of its own).
-		return nil, nil, fmt.Errorf("pipetrace line %d: %w", line+1, err)
+		return fmt.Errorf("pipetrace line %d: %w", line+1, err)
 	}
-	return uops, events, nil
+	return nil
 }

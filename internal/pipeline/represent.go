@@ -20,27 +20,17 @@ import (
 // plus its branch/memory mix, cluster the vectors with deterministic k-means,
 // and simulate one window per cluster in detail — its head functionally
 // warmed — estimating whole-run stats as the cluster-weighted combination.
-// Uniform periodic sampling (sampling.go) stays available as the
-// differential oracle, selected by SampleSpec.Mode.
 
-// SampleMode selects the windowing strategy of RunSampledReport.
+// SampleMode names the sampling method of a SampleSpec.
 type SampleMode uint8
 
-const (
-	// SampleUniform measures periodic windows and extrapolates — the
-	// original methodology and the differential oracle. The zero value, so
-	// existing SampleSpec literals keep their behavior.
-	SampleUniform SampleMode = iota
-	// SampleRepresentative clusters interval feature vectors and measures
-	// one representative window per cluster.
-	SampleRepresentative
-)
+// SampleRepresentative clusters interval feature vectors and measures a few
+// representative windows per cluster. It is the only mode; the zero
+// SampleMode is invalid, so every spec names it.
+const SampleRepresentative SampleMode = 1
 
 func (m SampleMode) String() string {
-	switch m {
-	case SampleUniform:
-		return "uniform"
-	case SampleRepresentative:
+	if m == SampleRepresentative {
 		return "rep"
 	}
 	return fmt.Sprintf("SampleMode(%d)", uint8(m))
@@ -49,12 +39,10 @@ func (m SampleMode) String() string {
 // ParseSampleMode parses the CLI spelling of a sampling mode.
 func ParseSampleMode(s string) (SampleMode, error) {
 	switch s {
-	case "", "uniform":
-		return SampleUniform, nil
 	case "rep", "representative":
 		return SampleRepresentative, nil
 	}
-	return 0, fmt.Errorf("pipeline: unknown sample mode %q (want uniform or rep)", s)
+	return 0, fmt.Errorf("pipeline: unknown sample mode %q (want rep)", s)
 }
 
 // DefaultSampleClusters floors the auto-scaled window budget used when
@@ -71,10 +59,10 @@ const repMaxClusters = 8
 type SampleReport struct {
 	Mode      SampleMode
 	Full      bool // short trace: the whole program ran in detail
-	Intervals int  // feature intervals sliced (representative mode)
+	Intervals int  // feature intervals sliced
 	Windows   int  // detailed windows simulated
-	// DetailInstrs counts instructions simulated in the detailed model
-	// (including uniform mode's warm-up re-simulation). WarmInstrs sums,
+	// DetailInstrs counts instructions simulated in the detailed model,
+	// pre-rolls included. WarmInstrs sums,
 	// over the representative windows, the functionally warmed prefix each
 	// window stands on. The windows share one warm pass over the trace, so
 	// the replay work done is at most the trace length, not WarmInstrs.
@@ -174,7 +162,7 @@ func newFeatAccum(p *prog.Program, cfg Config, ps *predictors, interval int) *fe
 // pass replays (their geometry, and the L2 and memory latencies newFeatAccum
 // weighs misses by), and the interval, window and cluster budget that slice
 // the trace and choose the windows. Widths, queues, store sets, the
-// mini-graph selection, Warmup, Workers and names never reach the plan, so
+// mini-graph selection, Workers and names never reach the plan, so
 // runs on machines that share a memory system and predictor share a plan.
 type RepPlanKey struct {
 	Hier     cache.HierConfig
@@ -614,9 +602,7 @@ func planRepWindows(feats []featVec, lens []int, traceLen int, key RepPlanKey) *
 			// history — a short warm-up systematically overestimates miss
 			// rates. runRepWindows gets every window's warm state from one
 			// functional pass over the trace, so warming costs one replay
-			// per run, not one per window. spec.Warmup only governs uniform
-			// mode, where warm-up is re-simulated in detail and must stay
-			// short.
+			// per run, not one per window.
 			preStart := start - repPreroll
 			if preStart < 0 {
 				preStart = 0

@@ -9,9 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
+// repSpec is the representative spec the sweeps and the benchmark use.
+var repSpec = SampleSpec{Mode: SampleRepresentative, Interval: 1000, Window: 1000}
+
 func TestSampledMatchesFullRun(t *testing.T) {
-	// On steady-state workloads, 20% periodic sampling with warm-up must
-	// estimate the full run's cycle count within a modest error.
+	// On large inputs, representative sampling must estimate the full run's
+	// cycle count within a modest error while simulating a fraction of it.
+	// The tight bound on small inputs is TestSamplingAccuracyGate's.
 	for _, name := range []string{"comm.crc32", "media.fir", "intx.lcgbranch"} {
 		w := workload.Find(name)
 		p, _, _, err := w.Build("large")
@@ -27,18 +31,18 @@ func TestSampledMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-		est, report, err := RunSampledReport(context.Background(), p, res.Trace, cfg, MGConfig{}, spec)
+		est, report, err := RunSampledReport(context.Background(), p, res.Trace, cfg, MGConfig{}, repSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ratio := float64(est.Cycles) / float64(full.Cycles)
-		if ratio < 0.85 || ratio > 1.15 {
-			t.Errorf("%s: sampled estimate %.0f%% of full cycles (%d vs %d)",
+		t.Logf("%s: %d records, sampled/full cycles %.4f, %.1f%% detailed", name, len(res.Trace), ratio, 100*report.SimulatedFrac)
+		if ratio < 0.95 || ratio > 1.05 {
+			t.Errorf("%s: sampled estimate %.1f%% of full cycles (%d vs %d)",
 				name, 100*ratio, est.Cycles, full.Cycles)
 		}
-		if report.SimulatedFrac >= 1.0 {
-			t.Errorf("%s: sampling simulated everything (%.2f)", name, report.SimulatedFrac)
+		if report.SimulatedFrac >= 0.5 {
+			t.Errorf("%s: sampling simulated %.0f%% of the trace in detail", name, 100*report.SimulatedFrac)
 		}
 		if est.Instrs != full.Instrs {
 			t.Errorf("%s: instruction accounting %d vs %d", name, est.Instrs, full.Instrs)
@@ -76,8 +80,7 @@ func TestSampledUopExtrapolation(t *testing.T) {
 	if full.Uops >= full.Instrs {
 		t.Fatalf("test premise broken: full run has %d uops for %d instrs", full.Uops, full.Instrs)
 	}
-	spec := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-	est, _, err := RunSampledReport(context.Background(), p, res.Trace, cfg, mg, spec)
+	est, _, err := RunSampledReport(context.Background(), p, res.Trace, cfg, mg, repSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,63 +88,46 @@ func TestSampledUopExtrapolation(t *testing.T) {
 		t.Error("sampled uops equal sampled instrs: extrapolation not applied")
 	}
 	ratio := float64(est.Uops) / float64(full.Uops)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("sampled uop estimate %.0f%% of full uops (%d vs %d)",
+	if ratio < 0.95 || ratio > 1.05 {
+		t.Errorf("sampled uop estimate %.1f%% of full uops (%d vs %d)",
 			100*ratio, est.Uops, full.Uops)
 	}
 }
 
-func TestSampledWorkersDeterministic(t *testing.T) {
-	// The parallel window pool must be invisible in the results: any worker
-	// count yields the same estimate as the serial path.
-	w := workload.Find("media.fir")
-	p, _, _, err := w.Build("large")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := emu.Run(p, emu.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := SampleSpec{Interval: 10_000, Window: 2_000, Warmup: 1_000}
-	serial, serialReport, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		spec := base
-		spec.Workers = workers
-		par, parReport, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if *par != *serial {
-			t.Errorf("workers=%d: stats diverge from serial:\nserial %+v\npar    %+v",
-				workers, serial, par)
-		}
-		if parReport.SimulatedFrac != serialReport.SimulatedFrac {
-			t.Errorf("workers=%d: simulated fraction %v != %v", workers, parReport.SimulatedFrac, serialReport.SimulatedFrac)
-		}
-	}
-}
-
 func TestSampledShortProgramFallsBack(t *testing.T) {
+	// A trace runs in full detail exactly when it fits one interval:
+	// comm.ipchk's small trace (2,061 records) runs in full at an interval
+	// of its own length and is sampled at the default 1000.
 	w := workload.Find("comm.ipchk")
 	p, _, _, _ := w.Build("small")
 	res, err := emu.Run(p, emu.Options{CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := SampleSpec{Interval: 1 << 20, Window: 1000, Warmup: 100}
-	est, report, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.SimulatedFrac != 1 {
-		t.Errorf("short program should simulate fully, frac = %.2f", report.SimulatedFrac)
-	}
-	if est.Instrs != int64(len(res.Trace)) {
-		t.Error("fallback lost instructions")
+	n := len(res.Trace)
+	for _, tc := range []struct {
+		interval int
+		full     bool
+	}{{1 << 20, true}, {n, true}, {n - 1, false}, {1000, false}} {
+		spec := repSpec
+		spec.Interval = tc.interval
+		est, report, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Full != tc.full || spec.NeedsPlan(n) == tc.full {
+			t.Errorf("interval %d, %d-record trace: Full = %v, NeedsPlan = %v; want full = %v",
+				tc.interval, n, report.Full, spec.NeedsPlan(n), tc.full)
+		}
+		if tc.full && report.SimulatedFrac != 1 {
+			t.Errorf("interval %d: short program should simulate fully, frac = %.2f", tc.interval, report.SimulatedFrac)
+		}
+		if !tc.full && report.Windows < 1 {
+			t.Errorf("interval %d: sampled run simulated no window", tc.interval)
+		}
+		if est.Instrs != int64(n) {
+			t.Errorf("interval %d: estimate lost instructions (%d of %d)", tc.interval, est.Instrs, n)
+		}
 	}
 }
 
@@ -149,18 +135,25 @@ func TestSampleSpecValidation(t *testing.T) {
 	w := workload.Find("comm.ipchk")
 	p, _, _, _ := w.Build("small")
 	res, _ := emu.Run(p, emu.Options{CollectTrace: true})
+	rep := SampleRepresentative
 	bad := []SampleSpec{
-		{Interval: 0, Window: 10, Warmup: 0},
-		{Interval: 100, Window: 0, Warmup: 0},
-		{Interval: 100, Window: 200, Warmup: 0},
-		{Interval: 100, Window: 10, Warmup: -1},
+		{Interval: 0, Window: 10, Mode: rep},
+		{Interval: 100, Window: 0, Mode: rep},
+		{Interval: 100, Window: 200, Mode: rep},
+		{Interval: 100, Window: 10, Mode: rep, Clusters: -1},
+		{Interval: 100, Window: 10}, // the zero Mode names no method
 	}
 	for _, spec := range bad {
 		if _, _, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{}, spec); err == nil {
 			t.Errorf("spec %+v should be rejected", spec)
 		}
 	}
-	if r := (SampleSpec{Interval: 50, Window: 1}).Rate(); r != 0.02 {
-		t.Errorf("Rate = %v, want 0.02", r)
+	if m, err := ParseSampleMode("rep"); err != nil || m != rep {
+		t.Errorf(`ParseSampleMode("rep") = %v, %v`, m, err)
+	}
+	for _, s := range []string{"uniform", ""} {
+		if _, err := ParseSampleMode(s); err == nil {
+			t.Errorf("ParseSampleMode(%q) accepted", s)
+		}
 	}
 }

@@ -175,11 +175,11 @@ func TestSchedulerDifferentialProfiled(t *testing.T) {
 	}
 }
 
-// TestSampledDifferential runs the periodic-sampling estimator under both
-// schedulers and requires identical estimates; it also pins the estimate
-// across worker counts, which exercises concurrent machine pooling (each
-// window draws a machine from the pool). defaultSched is package-global,
-// so this test must not run in parallel.
+// TestSampledDifferential runs the representative-sampling estimator under
+// both schedulers and requires identical estimates; it also pins the
+// estimate across worker counts, which exercises concurrent machine pooling
+// (each window draws a machine from the pool). defaultSched is
+// package-global, so this test must not run in parallel.
 func TestSampledDifferential(t *testing.T) {
 	w := workload.Find("comm.crc32")
 	if w == nil {
@@ -199,12 +199,7 @@ func TestSampledDifferential(t *testing.T) {
 	}
 	sel := minigraph.Select(p, minigraph.Enumerate(p, minigraph.DefaultLimits()),
 		freq, minigraph.DefaultSelectConfig())
-	// Size the spec so the trace holds several windows.
-	spec := SampleSpec{Interval: len(res.Trace) / 6, Window: len(res.Trace) / 20,
-		Warmup: len(res.Trace) / 40}
-	if spec.Window == 0 {
-		t.Fatalf("trace too short for sampling: %d records", len(res.Trace))
-	}
+	spec := SampleSpec{Mode: SampleRepresentative, Interval: 1000, Window: 1000}
 
 	run := func(k SchedKind, workers int) (*Stats, float64) {
 		defaultSched = k
@@ -214,6 +209,9 @@ func TestSampledDifferential(t *testing.T) {
 		st, report, err := RunSampledReport(context.Background(), p, res.Trace, Reduced(), MGConfig{Selection: sel}, spec)
 		if err != nil {
 			t.Fatalf("%v scheduler, %d workers: %v", k, workers, err)
+		}
+		if report.Full || report.Windows < 4 {
+			t.Fatalf("%d-record trace sampled in %d windows (full %v): too few to pool", len(res.Trace), report.Windows, report.Full)
 		}
 		return st, report.SimulatedFrac
 	}
