@@ -89,9 +89,22 @@ critpath-smoke:
 # (representative windows) on two workers: each sampled run must open its
 # spans under its own task, or concurrent runs interleave on one trace row
 # and the file is invalid. The third runs the design-choice ablations on
-# two workers, which must trace like any other sweep.
+# two workers, which must trace like any other sweep. Last, the driver
+# commands evaluate their point the way a sweep task does: mgsim, a sampled
+# mgselect and mgreport -attrib must each write a valid trace with a
+# simulate span.
 metrics-smoke:
 	@dir=$$(mktemp -d); \
+	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced -selector Slack-Profile \
+		-trace-out $$dir/mgsim.trace >/dev/null 2>&1 && \
+	$(GO) run ./cmd/mgselect -workload comm.crc32 -input small -selector Slack-Profile -sample-mode rep \
+		-trace-out $$dir/mgselect.trace >/dev/null 2>&1 && \
+	$(GO) run ./cmd/mgreport -attrib comm.crc32 -input small -trace-out $$dir/attrib.trace >/dev/null 2>&1 || \
+		{ echo "metrics-smoke FAILED: a driver run failed"; rm -rf $$dir; exit 1; }; \
+	for t in mgsim mgselect attrib; do \
+		$(GO) run ./cmd/mgtrace -spans $$dir/$$t.trace | grep -q '^simulate ' || \
+			{ echo "metrics-smoke FAILED: $$t trace invalid or without a simulate span"; rm -rf $$dir; exit 1; }; \
+	done; \
 	$(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32 -input small -plots=false \
 		-trace-out $$dir/sweep.trace >/dev/null && \
 	$(GO) run ./cmd/mgtrace -spans $$dir/sweep.trace >/dev/null && \
@@ -105,7 +118,10 @@ metrics-smoke:
 
 # Run-ledger end to end: the same tiny sweep twice with -ledger must
 # append (never clobber) — the record count doubles across the restart —
-# and comparing the recorded rev against itself must gate clean. The
+# and comparing the recorded rev against itself must gate clean. mgsim,
+# mgselect and mgreport -attrib then append their Slack-Profile point on
+# the reduced machine: every record of that point, the sweep's included,
+# must carry the same key, and the attribution record its CPU time. The
 # Figure 8 limit study is a sweep too: on comm.crc32 (4 candidates) it must
 # record each of its 16 subsets, and its two-worker trace must pass
 # mgtrace -spans.
@@ -118,6 +134,17 @@ ledger-smoke:
 	[ "$$n2" -eq $$((2 * n1)) ] || { echo "ledger-smoke FAILED: $$n1 then $$n2 records (want double)"; exit 1; }; \
 	$(GO) run ./cmd/mgstat -ledger $$dir/led -compare ci,ci -gate 5 >/dev/null || \
 		{ echo "ledger-smoke FAILED: self-compare did not gate clean"; exit 1; }; \
+	led="-ledger $$dir/led -ledger-rev ci"; \
+	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced -selector Slack-Profile $$led >/dev/null 2>&1 && \
+	$(GO) run ./cmd/mgselect -workload comm.crc32 -input small -selector Slack-Profile $$led >/dev/null 2>&1 && \
+	$(GO) run ./cmd/mgreport -attrib comm.crc32 -input small $$led >/dev/null 2>&1 || \
+		{ echo "ledger-smoke FAILED: a driver run failed"; exit 1; }; \
+	sp=$$(grep Slack-Profile $$dir/led/ledger.jsonl); \
+	[ $$(echo "$$sp" | grep -c '"key":"') -eq 5 ] && \
+	[ $$(echo "$$sp" | grep -o '"key":"[0-9a-f]*"' | sort -u | wc -l) -eq 1 ] || \
+		{ echo "ledger-smoke FAILED: the 5 Slack-Profile records do not all carry one key"; echo "$$sp"; exit 1; }; \
+	grep '"sweep":"attrib"' $$dir/led/ledger.jsonl | grep -q '"cpu_ms":' || \
+		{ echo "ledger-smoke FAILED: the attribution record has no cpu_ms"; exit 1; }; \
 	$(GO) run ./cmd/mgreport -exp fig8 -input small -workload comm.crc32 -workers 2 \
 		-ledger $$dir/fig8 -trace-out $$dir/fig8.trace >/dev/null 2>&1 && \
 	n=$$(grep -c '^v1 ' $$dir/fig8/ledger.jsonl) && [ "$$n" -eq 16 ] || \

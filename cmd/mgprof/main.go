@@ -30,20 +30,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgprof: -workload required")
 		os.Exit(2)
 	}
-	var cfg pipeline.Config
-	switch *cfgName {
-	case "baseline":
-		cfg = pipeline.Baseline()
-	case "reduced":
-		cfg = pipeline.Reduced()
-	case "2way":
-		cfg = pipeline.Width2()
-	case "8way":
-		cfg = pipeline.Width8()
-	case "dmem4":
-		cfg = pipeline.SmallDMem()
-	default:
-		fmt.Fprintf(os.Stderr, "mgprof: unknown config %q\n", *cfgName)
+	cfg, err := pipeline.ConfigByName(*cfgName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mgprof:", err)
 		os.Exit(2)
 	}
 

@@ -2,18 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/ledger"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
+	"repro/internal/workload"
 )
 
 // slackTolerance is the predicted-vs-observed agreement window in cycles.
@@ -23,10 +23,11 @@ import (
 const slackTolerance = 4.0
 
 // attrib runs the cycle-loss attribution engine end-to-end for one
-// workload: prepare, profile, select under the policy, simulate with a
-// pipetrace attached, walk the critical path, and cross-check the static
-// slack profile against the observed slack. outBase, when non-empty, also
-// writes <outBase>.json (full report) and <outBase>.csv (scoreboard).
+// workload: the series point (prepare, profile, select) with its timing
+// run observed by an in-memory pipetrace, then the critical-path walk over
+// that trace and a cross-check of the static slack profile against the
+// observed slack. outBase, when non-empty, also writes <outBase>.json
+// (full report) and <outBase>.csv (scoreboard).
 func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, top int) error {
 	cfg, err := pipeline.ConfigByName(cfgName)
 	if err != nil {
@@ -39,42 +40,33 @@ func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, 
 	if sel == nil {
 		return fmt.Errorf("-attribsel %q selects nothing; attribution needs a policy", selName)
 	}
-	bench, err := core.PrepareByName(workloadName, input)
+	wl := workload.Find(workloadName)
+	if wl == nil {
+		return fmt.Errorf("unknown workload %q", workloadName)
+	}
+	sp := core.SeriesSpec{Cfg: cfg, Sel: sel}
+	task := core.StartTask(workloadName, sel.Name()+" on "+cfg.Name)
+	bench, err := core.PrepareSharedCtx(task.Ctx, wl, input)
+	var pt core.Point
+	var rep *critpath.Report
+	if err == nil {
+		pt, rep, err = walk(task.Ctx, bench, sp)
+	}
+	rec := ledger.Record{Tool: "mgreport", Sweep: "attrib", Input: input}
+	if rep != nil {
+		rec.Critpath = rep.BucketsByName()
+	}
+	if aerr := task.Finish(rec, bench, sp, nil, pt, err); aerr != nil {
+		fmt.Fprintln(os.Stderr, "mgreport: ledger:", aerr)
+	}
 	if err != nil {
 		return err
 	}
-	// The profile feeds both the selector (when the policy wants one) and
-	// the predicted-vs-observed comparator.
+	// The comparator reads the profile of cfg: the one the policy selected
+	// with, when it needs one.
 	prof, err := bench.Profile(cfg)
 	if err != nil {
 		return err
-	}
-	chosen := bench.Select(sel, prof)
-
-	t0 := time.Now()
-	var buf bytes.Buffer
-	watch := &obs.Observer{Trace: obs.NewBinaryPipetrace(&buf)}
-	st, err := bench.RunObserved(cfg, sel, chosen, watch)
-	if err != nil {
-		return err
-	}
-	if err := watch.Trace.Flush(); err != nil {
-		return err
-	}
-	uops, events, err := obs.ReadPipetrace(&buf)
-	if err != nil {
-		return err
-	}
-	rep, err := critpath.Analyze(uops, events, critpath.ParamsFor(cfg))
-	if err != nil {
-		return err
-	}
-	if aerr := core.AppendRecord(ledger.Record{Tool: "mgreport", Sweep: "attrib",
-		Workload: workloadName, Series: sel.Name() + " on " + cfg.Name, Input: input,
-		Key:   core.TaskKey(bench, core.SeriesSpec{Cfg: cfg, Sel: sel}, nil).Short(),
-		Cache: "traced", Critpath: rep.BucketsByName()},
-		time.Since(t0), metrics.Usage{}, st, nil, nil); aerr != nil {
-		fmt.Fprintln(os.Stderr, "mgreport: ledger:", aerr)
 	}
 
 	name := fmt.Sprintf("%s/%s, %s on %s", workloadName, input, sel.Name(), cfg.Name)
@@ -82,7 +74,7 @@ func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, 
 		return err
 	}
 	tmplOut := make(map[int]int)
-	for _, inst := range chosen.Instances {
+	for _, inst := range pt.Selection.Instances {
 		if inst.Cand.OutputIdx >= 0 {
 			tmplOut[inst.Template] = inst.Cand.OutputIdx
 		}
@@ -118,4 +110,24 @@ func attrib(w io.Writer, workloadName, input, selName, cfgName, outBase string, 
 		fmt.Fprintf(w, "\nwrote %s.json and %s.csv\n", outBase, outBase)
 	}
 	return nil
+}
+
+// walk evaluates point sp on b with its timing run traced into memory, then
+// walks the run's critical path.
+func walk(ctx context.Context, b *core.Bench, sp core.SeriesSpec) (core.Point, *critpath.Report, error) {
+	var buf bytes.Buffer
+	watch := &obs.Observer{Trace: obs.NewBinaryPipetrace(&buf)}
+	pt, err := core.EvalPoint(ctx, b, sp, nil, watch)
+	if err != nil {
+		return pt, nil, err
+	}
+	if err := watch.Trace.Flush(); err != nil {
+		return pt, nil, err
+	}
+	uops, events, err := obs.ReadPipetrace(&buf)
+	if err != nil {
+		return pt, nil, err
+	}
+	rep, err := critpath.Analyze(uops, events, critpath.ParamsFor(sp.Cfg))
+	return pt, rep, err
 }

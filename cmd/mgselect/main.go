@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,10 +17,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
-	"repro/internal/slack"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -32,9 +30,6 @@ func main() {
 		cfgName    = flag.String("config", "reduced", "profiling machine for slack-based policies")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		cacheStats = flag.Bool("cachestats", false, "print simulation-cache counters to stderr")
-		pipetrace  = flag.Bool("pipetrace", false, "write a per-uop pipetrace of the profiling run (binary; mgtrace -tojsonl converts it)")
-		intervals  = flag.Int64("intervals", 0, "sample interval metrics of the profiling run every N cycles (0 = off)")
-		tracedir   = flag.String("tracedir", "", "observability output directory (default \"obs\")")
 	)
 	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
@@ -42,10 +37,6 @@ func main() {
 	sample, err := resolveSample()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgselect:", err)
-		os.Exit(2)
-	}
-	if sample != nil && (*pipetrace || *intervals > 0) {
-		fmt.Fprintln(os.Stderr, "mgselect: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
 		os.Exit(2)
 	}
 	drv, err := resolveDriver()
@@ -78,88 +69,56 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(2)
 	}
-
-	t0 := time.Now()
-	// Whole-process deltas: profiling and sampled estimation fan out
-	// across GOMAXPROCS goroutines.
-	um := metrics.MarkProcessUsage()
-	ctx, runSpan := metrics.StartSpan(context.Background(), "mgselect.run",
-		metrics.L("workload", *wName), metrics.L("selector", *selName))
-	bench, err := core.PrepareSharedByName(*wName, *input)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgselect:", err)
+	w := workload.Find(*wName)
+	if w == nil {
+		fmt.Fprintf(os.Stderr, "mgselect: unknown workload %q\n", *wName)
 		os.Exit(1)
 	}
-	var prof *slack.Profile
-	if sel.NeedsProfile() {
-		if o := obs.FlagOptions(*pipetrace, *intervals, *tracedir); o.Active() {
-			// Trace the profiling run itself: the singleton execution the
-			// slack profile is collected from.
-			base := fmt.Sprintf("%s_%s_%s_profile", *wName, *input, cfg.Name)
-			watch, werr := obs.NewRunObserver(o, base)
-			if werr != nil {
-				fmt.Fprintln(os.Stderr, "mgselect:", werr)
-				os.Exit(1)
-			}
-			prof, err = bench.ProfileObserved(cfg, watch)
-			if cerr := watch.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "observability files: %v\n", watch.Files())
-			}
-		} else {
-			pctx, prsp := metrics.StartSpan(ctx, "profile", metrics.L("config", cfg.Name))
-			prof, err = bench.ProfileCtx(pctx, cfg)
-			prsp.End()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", err)
-			os.Exit(1)
-		}
-	}
 
-	_, ssp := metrics.StartSpan(ctx, "select", metrics.L("policy", sel.Name()))
-	chosen := bench.Select(sel, prof)
-	ssp.End()
-	var est *pipeline.Stats
-	var estReport pipeline.SampleReport
+	t0 := time.Now()
+	sp := core.SeriesSpec{Cfg: cfg, Sel: sel}
+	series := sel.Name()
 	if sample != nil {
-		// Sampled quality estimate of the selection just made: a low-fidelity
-		// timing run on cfg. The selection itself is always exact — sampling
-		// can never change which mini-graphs are chosen.
+		series += " on " + cfg.Name
 		sample.Workers = runtime.GOMAXPROCS(0)
-		ectx, esp := metrics.StartSpan(ctx, "estimate", metrics.L("config", cfg.Name))
-		est, estReport, err = bench.RunSampledReportCtx(ectx, cfg, sel, chosen, *sample)
-		esp.End()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", err)
-			os.Exit(1)
-		}
 	}
-	runSpan.End()
-	// Selection-only record: Cycles stays 0, so history queries list it but
-	// the compare gate never treats it as a timing point, and coverage is
-	// the selection's. With -sample-* the record carries the estimated run
-	// instead, tagged Estimate so the gate never pairs it with an exact run.
-	rec := ledger.Record{Tool: "mgselect", Workload: *wName, Series: sel.Name(),
-		Input: *input, Cache: "run", Coverage: chosen.Coverage()}
-	if est != nil {
-		rec.Series = sel.Name() + " on " + cfg.Name
+	task := core.StartTask(*wName, series)
+	bench, err := core.PrepareSharedCtx(task.Ctx, w, *input)
+	var pt core.Point
+	switch {
+	case err != nil:
+	case sample != nil:
+		// Sampled quality estimate of the selection: the whole point, timed
+		// at low fidelity on cfg. The selection itself is always exact —
+		// sampling can never change which mini-graphs are chosen. The record
+		// carries the estimated run, tagged Estimate so the compare gate
+		// never pairs it with an exact run.
+		pt, err = core.EvalPoint(task.Ctx, bench, sp, sample, nil)
+	default:
+		// The point's select step alone. Its record has no run (Cycles 0):
+		// history queries list it, the compare gate skips it, and its
+		// coverage is the selection's.
+		pt.Selection, pt.Cache, err = core.SelectionFor(task.Ctx, bench, sp)
 	}
-	if aerr := core.AppendRecord(rec, time.Since(t0), um.Since(), est, sample, nil); aerr != nil {
+	if aerr := task.Finish(ledger.Record{Tool: "mgselect", Input: *input}, bench, sp, sample, pt, err); aerr != nil {
 		fmt.Fprintln(os.Stderr, "mgselect: ledger:", aerr)
+	}
+	if err != nil {
+		_ = drv.Close()
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
+		os.Exit(1)
 	}
 	if err := drv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(1)
 	}
+	chosen := pt.Selection
 	fmt.Printf("workload=%s selector=%s candidates=%d\n", *wName, sel.Name(), len(bench.Cands))
 	fmt.Printf("selected: %d instances, %d templates, %.1f%% dynamic coverage\n",
 		len(chosen.Instances), chosen.NumTemplates, 100*chosen.Coverage())
-	if est != nil {
-		fmt.Println(core.SampleBanner(*sample, estReport))
-		fmt.Printf("estimated IPC on %s with this selection: %.4f\n", cfg.Name, est.IPC())
+	if sample != nil {
+		fmt.Println(core.SampleBanner(*sample, pt.Report))
+		fmt.Printf("estimated IPC on %s with this selection: %.4f\n", cfg.Name, pt.Stats.IPC())
 	}
 	for _, in := range chosen.Instances {
 		c := in.Cand

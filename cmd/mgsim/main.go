@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
-	"repro/internal/slack"
 	"repro/internal/workload"
 )
 
@@ -41,6 +39,12 @@ func main() {
 	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
 	flag.Parse()
+	if *list {
+		for _, w := range workload.All() {
+			fmt.Printf("%-18s %s\n", w.Name, w.Suite)
+		}
+		return
+	}
 	runStart := time.Now()
 	sample, err := resolveSample()
 	if err != nil {
@@ -61,12 +65,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *list {
-		for _, w := range workload.All() {
-			fmt.Printf("%-18s %s\n", w.Name, w.Suite)
-		}
-		return
-	}
 	if *wName == "" {
 		fmt.Fprintln(os.Stderr, "mgsim: -workload required (use -list to see names)")
 		os.Exit(2)
@@ -81,22 +79,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(2)
 	}
-
-	ctx, runSpan := metrics.StartSpan(context.Background(), "mgsim.run",
-		metrics.L("workload", *wName), metrics.L("config", *cfgName), metrics.L("selector", *selName))
-	_, psp := metrics.StartSpan(ctx, "prepare",
-		metrics.L("workload", *wName), metrics.L("input", *input))
-	bench, err := core.PrepareByName(*wName, *input)
-	psp.End()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgsim:", err)
+	w := workload.Find(*wName)
+	if w == nil {
+		fmt.Fprintf(os.Stderr, "mgsim: unknown workload %q\n", *wName)
 		os.Exit(1)
 	}
 
-	t0 := time.Now()
-	// Whole-process deltas, not per-thread: sampled runs fan out across
-	// GOMAXPROCS goroutines, so a thread CPU clock would undercount.
-	um := metrics.MarkProcessUsage()
 	var watch *obs.Observer
 	if o := obs.FlagOptions(*pipetrace, *intervals, *tracedir); o.Active() {
 		base := fmt.Sprintf("%s_%s_%s_%s", *wName, *input, cfg.Name, *selName)
@@ -105,72 +93,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
-
-	var st *pipeline.Stats
-	var srep pipeline.SampleReport
-	if sel == nil {
-		sctx, ssp := metrics.StartSpan(ctx, "simulate", metrics.L("config", cfg.Name))
-		switch {
-		case sample != nil:
-			st, srep, err = bench.RunSampledReportCtx(sctx, cfg, nil, nil, *sample)
-		case watch != nil:
-			st, err = bench.RunObserved(cfg, nil, nil, watch)
-		default:
-			st, err = bench.RunSingleton(cfg)
-		}
-		ssp.End()
-	} else {
-		var prof *slack.Profile
-		if sel.NeedsProfile() {
-			pctx, prsp := metrics.StartSpan(ctx, "profile", metrics.L("config", cfg.Name))
-			prof, err = bench.ProfileCtx(pctx, cfg)
-			prsp.End()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mgsim:", err)
-				os.Exit(1)
-			}
-		}
-		_, sesp := metrics.StartSpan(ctx, "select", metrics.L("policy", sel.Name()))
-		chosen := bench.Select(sel, prof)
-		sesp.End()
-		if drv.Verbose {
-			fmt.Printf("selection coverage (static estimate): %.1f%%\n", 100*chosen.Coverage())
-		}
-		sctx, ssp := metrics.StartSpan(ctx, "simulate",
-			metrics.L("config", cfg.Name), metrics.L("policy", sel.Name()))
-		switch {
-		case sample != nil:
-			// Profiling and selection above ran exactly; only the timing run
-			// is estimated.
-			st, srep, err = bench.RunSampledReportCtx(sctx, cfg, sel, chosen, *sample)
-		case watch != nil:
-			st, err = bench.RunObserved(cfg, sel, chosen, watch)
-		default:
-			st, err = bench.Run(cfg, sel, chosen)
-		}
-		ssp.End()
+	// Profiling and selection run exactly; with -sample-* only the timing
+	// run is estimated.
+	sp := core.SeriesSpec{Cfg: cfg, Sel: sel}
+	task := core.StartTask(*wName, cfg.Name+"/"+*selName)
+	bench, err := core.PrepareSharedCtx(task.Ctx, w, *input)
+	var pt core.Point
+	if err == nil {
+		pt, err = core.EvalPoint(task.Ctx, bench, sp, sample, watch)
 	}
-	runSpan.End()
 	if watch != nil {
 		if cerr := watch.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	}
+	if aerr := task.Finish(ledger.Record{Tool: "mgsim", Input: *input, Files: watch.Files()},
+		bench, sp, sample, pt, err); aerr != nil {
+		fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
 	}
 	if err != nil {
 		// Keep the failed run's spans; the run error is the one to report.
 		_ = drv.Close()
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(1)
-	}
-	cache := "run"
-	if watch != nil {
-		cache = "traced"
-	}
-	if aerr := core.AppendRecord(ledger.Record{Tool: "mgsim", Workload: *wName,
-		Series: cfg.Name + "/" + *selName, Input: *input, Cache: cache,
-		Key:   core.TaskKey(bench, core.SeriesSpec{Cfg: cfg, Sel: sel}, sample).Short(),
-		Files: watch.Files()}, time.Since(t0), um.Since(), st, sample, nil); aerr != nil {
-		fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
 	}
 	if err := drv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "mgsim:", err)
@@ -180,10 +125,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability files: %v\n", watch.Files())
 	}
 
+	if drv.Verbose && sel != nil {
+		fmt.Printf("selection coverage (static estimate): %.1f%%\n", 100*pt.Selection.Coverage())
+	}
 	fmt.Printf("workload=%s input=%s config=%s selector=%s\n", *wName, *input, cfg.Name, *selName)
 	if sample != nil {
-		fmt.Println(core.SampleBanner(*sample, srep))
+		fmt.Println(core.SampleBanner(*sample, pt.Report))
 	}
-	fmt.Print(st)
+	fmt.Print(pt.Stats)
 	fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(runStart)))
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,12 +76,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, chosen, err := bench.Evaluate(selector.SlackProfile(), pipeline.Reduced(), pipeline.Reduced())
+	pt, err := core.EvalPoint(context.Background(), bench,
+		core.SeriesSpec{Cfg: pipeline.Reduced(), Sel: selector.SlackProfile()}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmedia.fir with Slack-Profile on the reduced machine: IPC %.2f, coverage %.1f%% (%d templates)\n",
-		st.IPC(), 100*st.Coverage(), chosen.NumTemplates)
+		pt.Stats.IPC(), 100*pt.Stats.Coverage(), pt.Selection.NumTemplates)
 	_ = isa.NumRegs
 }
 

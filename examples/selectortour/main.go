@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -53,17 +54,18 @@ func main() {
 		selector.IdealSlackDynamicDelay(),
 	}
 	for _, sel := range selectors {
-		onRed, chosen, err := bench.Evaluate(sel, red, red)
+		onRed, err := core.EvalPoint(context.Background(), bench, core.SeriesSpec{Cfg: red, Sel: sel}, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		onFull, _, err := bench.Evaluate(sel, full, full)
+		onFull, err := core.EvalPoint(context.Background(), bench, core.SeriesSpec{Cfg: full, Sel: sel}, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		chosen := onRed.Selection
 		fmt.Printf("%-28s %9d %9d %8.1f%% %10.3f %8.3f\n",
 			sel.Name(), chosen.NumTemplates, len(chosen.Instances),
-			100*onRed.Coverage(), rel(base.Cycles, onRed.Cycles), rel(base.Cycles, onFull.Cycles))
+			100*onRed.Stats.Coverage(), rel(base.Cycles, onRed.Stats.Cycles), rel(base.Cycles, onFull.Stats.Cycles))
 	}
 	fmt.Println("\nperformance is IPC relative to the fully-provisioned machine without mini-graphs")
 }

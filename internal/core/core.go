@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/minigraph"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/selector"
@@ -92,22 +91,13 @@ type profileRun struct {
 // cannot collide). This matches the paper: profiles are collected from
 // non-mini-graph executions. Concurrent callers share one computation.
 func (b *Bench) Profile(cfg pipeline.Config) (*slack.Profile, error) {
-	return b.ProfileCtx(context.Background(), cfg)
+	return collectProfile(context.Background(), b, cfg, "")
 }
 
-// ProfileCtx is Profile with the caller's context threaded through, so the
-// per-bench profile-cache lookup (and, on a miss, the profiling run)
-// appears as a nested span in exported traces.
-func (b *Bench) ProfileCtx(ctx context.Context, cfg pipeline.Config) (*slack.Profile, error) {
-	pr, _, err := b.profileRunCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return pr.prof, nil
-}
-
-// profileRunCtx is ProfileCtx returning the whole profiling run and the
-// cache outcome ("miss" when this call ran it).
+// profileRunCtx is Profile returning the whole profiling run and the cache
+// outcome ("miss" when this call ran it), with the caller's context
+// threaded through, so the per-bench profile-cache lookup (and, on a miss,
+// the profiling run) appears as a nested span in exported traces.
 func (b *Bench) profileRunCtx(ctx context.Context, cfg pipeline.Config) (*profileRun, string, error) {
 	return b.profiles.DoCtx(ctx, simcache.Fingerprint(cfg), func(context.Context) (*profileRun, error) {
 		acc := slack.NewAccumulator(b.Prog.Name, b.Prog.NumInstrs())
@@ -150,27 +140,21 @@ func (b *Bench) Run(cfg pipeline.Config, sel *selector.Selector, chosen *minigra
 }
 
 // RunSampledReport executes the timing pipeline at sampled fidelity: the
-// full trace is sliced per spec and only the selected windows run in detail,
-// so the returned stats are estimates (spec.Mode picks uniform-periodic or
-// representative-interval windowing). The pipeline.SampleReport (mode,
-// window count, detailed-instruction share, error bound) lets drivers print
-// a fidelity banner next to the estimate. A representative run takes its
-// plan from the bench's plan cache, so the plan is built once per key
+// full trace is sliced per spec and only the selected windows run in
+// detail, so the returned stats are estimates. The pipeline.SampleReport
+// (window count, detailed-instruction share, error bound) lets callers
+// print a fidelity banner next to the estimate. A representative run takes
+// its plan from the bench's plan cache, so the plan is built once per key
 // however many machines and policies sample this trace; the estimate is
 // bit-identical to pipeline.RunSampledReport's.
 func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
-	return b.RunSampledReportCtx(context.Background(), cfg, sel, chosen, spec)
+	return b.runSampled(context.Background(), cfg, mgConfigFor(sel, chosen), spec)
 }
 
-// RunSampledReportCtx is RunSampledReport with the caller's context threaded
-// through, so the plan-cache lookup (and, on a miss, the planning) and the
-// sampled run's spans nest under the caller's in exported traces.
-func (b *Bench) RunSampledReportCtx(ctx context.Context, cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
-	return b.runSampled(ctx, cfg, mgConfigFor(sel, chosen), spec)
-}
-
-// runSampled is RunSampledReportCtx on an assembled mini-graph
-// configuration.
+// runSampled is RunSampledReport on an assembled mini-graph configuration,
+// with the caller's context threaded through: the plan-cache lookup (and,
+// on a miss, the planning) and the sampled run's spans nest under the
+// caller's in exported traces.
 func (b *Bench) runSampled(ctx context.Context, cfg pipeline.Config, mg pipeline.MGConfig, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
 	if !spec.NeedsPlan(len(b.Trace)) {
 		return pipeline.RunSampledReport(ctx, b.Prog, b.Trace, cfg, mg, spec)
@@ -184,41 +168,7 @@ func (b *Bench) runSampled(ctx context.Context, cfg pipeline.Config, mg pipeline
 	return pipeline.RunRepPlan(ctx, plan, b.Prog, b.Trace, cfg, mg, spec)
 }
 
-// RunObserved is Run with an observer attached collecting pipetrace
-// records and/or interval samples. Observed runs never go through the
-// result cache — the trace is a side effect a cache hit would swallow.
-func (b *Bench) RunObserved(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, watch *obs.Observer) (*pipeline.Stats, error) {
-	return pipeline.RunObserved(b.Prog, b.Trace, cfg, mgConfigFor(sel, chosen), nil, watch)
-}
-
 // RunSingleton executes the timing pipeline without mini-graphs.
 func (b *Bench) RunSingleton(cfg pipeline.Config) (*pipeline.Stats, error) {
 	return pipeline.Run(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, nil)
-}
-
-// ProfileObserved collects a slack profile like Profile but with an
-// observer attached to the profiling run. It bypasses the per-bench
-// profile cache (the trace is the point) and does not populate it.
-func (b *Bench) ProfileObserved(cfg pipeline.Config, watch *obs.Observer) (*slack.Profile, error) {
-	acc := slack.NewAccumulator(b.Prog.Name, b.Prog.NumInstrs())
-	if _, err := pipeline.RunObserved(b.Prog, b.Trace, cfg, pipeline.MGConfig{}, acc, watch); err != nil {
-		return nil, fmt.Errorf("profiling %s on %s: %w", b.Prog.Name, cfg.Name, err)
-	}
-	return acc.Profile(), nil
-}
-
-// Evaluate is the one-stop path used by the experiment drivers: profile on
-// profCfg if the policy needs it, select, and run on runCfg.
-func (b *Bench) Evaluate(sel *selector.Selector, profCfg, runCfg pipeline.Config) (*pipeline.Stats, *minigraph.Selection, error) {
-	var prof *slack.Profile
-	if sel.NeedsProfile() {
-		var err error
-		prof, err = b.Profile(profCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	chosen := b.Select(sel, prof)
-	st, err := b.Run(runCfg, sel, chosen)
-	return st, chosen, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -83,14 +84,14 @@ func TestSelectorsProduceNestedPools(t *testing.T) {
 
 func TestEvaluateRuns(t *testing.T) {
 	b := prep(t, "comm.ipchk")
-	st, chosen, err := b.Evaluate(selector.SlackProfile(), pipeline.Reduced(), pipeline.Reduced())
+	pt, err := EvalPoint(context.Background(), b, SeriesSpec{Cfg: pipeline.Reduced(), Sel: selector.SlackProfile()}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Instrs != int64(len(b.Trace)) {
-		t.Errorf("instrs %d != trace %d", st.Instrs, len(b.Trace))
+	if pt.Stats.Instrs != int64(len(b.Trace)) {
+		t.Errorf("instrs %d != trace %d", pt.Stats.Instrs, len(b.Trace))
 	}
-	if chosen == nil {
+	if pt.Selection == nil {
 		t.Error("no selection returned")
 	}
 }

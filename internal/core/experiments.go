@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
-	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -250,24 +249,16 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 						"series", sp.Label, "worker", k)
 				}
 				track.TaskRunning(ti, k)
-				t0 := time.Now()
-				um := metrics.MarkUsage()
-				tctx, span := metrics.StartSpan(wctx, "task",
-					metrics.L("workload", w.Name), metrics.L("series", sp.Label))
+				tk := startTask(wctx, w.Name, sp.Label, metrics.MarkUsage)
 				var r specResult
 				var err error
 				// Label the task's goroutine so CPU profiles grabbed from
 				// /debug/pprof attribute samples to (workload, spec).
-				pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
-					r, err = evalSpec(ctx, w, opts.input(), sp, opts.Obs, opts.Sample, profiled)
+				pprof.Do(tk.Ctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
+					r, err = evalSpec(ctx, w, sp, opts, profiled)
 				})
-				d := taskDone{index: ti, workload: w.Name, series: sp.Label, worker: k,
-					wall: time.Since(t0), use: um.Since(), specResult: r, err: err}
-				if metrics.CPUAccountingOn() {
-					span.SetCPUNanos(d.use.CPUNanos)
-				}
-				span.SetAttr("cache", r.outcome)
-				span.End()
+				d := taskDone{index: ti, workload: w.Name, spec: sp, worker: k, specResult: r, err: err}
+				d.wall, d.use = tk.end(r.Cache)
 				vals[ti] = [2]float64{r.perf, r.cov}
 				errs[ti] = err
 				finishTask(title, opts, track, d)
@@ -383,103 +374,54 @@ func profileJobs(w *workload.Workload, input string, specs []SeriesSpec) []func(
 	return out
 }
 
-// specResult carries everything one evaluated series point produces:
-// the report values (relative performance, coverage), the raw simulation
-// stats and task key for the run ledger, and the cache outcome plus
-// observability files for telemetry.
+// specResult is one finished sweep task: the series point, the bench it
+// ran on (nil when preparation failed), the files its observer wrote, and
+// the report values (relative performance, coverage).
 type specResult struct {
-	perf, cov float64
-	outcome   string
+	Point
+	bench     *Bench
 	files     []string
-	stats     *pipeline.Stats
-	key       simcache.Key
+	perf, cov float64
 }
 
-// evalSpec computes one (workload, spec) point through the caches. sample
-// selects low-fidelity estimation for both the series run and the relative-
-// performance baseline, so the reported ratio is estimate over estimate.
-// profiled holds the machines the sweep profiles on input (ownProfiles).
-func evalSpec(ctx context.Context, w *workload.Workload, input string, sp SeriesSpec, o *obs.Options, sample *pipeline.SampleSpec, profiled map[pipeline.Config]bool) (specResult, error) {
+// evalSpec computes one (workload, spec) task of a sweep: the series point,
+// plus what a sweep reports on top of it, the ratio to the relative-
+// performance baseline and the coverage. opts.Sample selects low-fidelity
+// estimation for both the point and the baseline, so the ratio is estimate
+// over estimate; with opts.Obs the point's timing run is observed into its
+// own files. profiled holds the machines the sweep profiles on its input
+// (ownProfiles). Without caching, each task prepares its own bench and runs
+// no profile job, so every run is simulated.
+func evalSpec(ctx context.Context, w *workload.Workload, sp SeriesSpec, opts Options, profiled map[pipeline.Config]bool) (specResult, error) {
 	var r specResult
-	bench, err := PrepareSharedCtx(ctx, w, input)
+	b, err := PrepareSharedCtx(ctx, w, opts.input())
 	if err != nil {
 		return r, err
 	}
-	r.key = TaskKey(bench, sp, sample)
-	// An exact run without mini-graphs is the run a slack profile makes on
-	// cfg. If the sweep profiles cfg anyway, take that profile's run,
-	// starting it here if its job has not started yet, so the runs a sweep
-	// makes do not depend on worker timing. Otherwise a profile an earlier
-	// sweep completed may answer it. Without caching, each task prepares
-	// its own bench and runs no profile job, so every run is simulated.
-	run := func(cfg pipeline.Config, mg pipeline.MGConfig) (*pipeline.Stats, string, error) {
-		if sample == nil && !mg.Enabled() && !resultCache.Disabled() {
-			if profiled[cfg] {
-				pr, outcome, err := bench.profileRunCtx(ctx, cfg)
-				if err != nil {
-					return nil, "", err
-				}
-				return pr.stats, outcome, nil
-			}
-			if pr, ok := bench.profiles.Get(simcache.Fingerprint(cfg)); ok {
-				return pr.stats, simcache.Hit, nil
-			}
-		}
-		return runStatsNoted(ctx, bench, cfg, mg, sample)
-	}
-	baseStats, _, err := run(pipeline.Baseline(), pipeline.MGConfig{})
+	r.bench = b
+	base, _, err := timingRun(ctx, b, pipeline.Baseline(), pipeline.MGConfig{}, opts.Sample, profiled)
 	if err != nil {
 		return r, err
 	}
-	var st *pipeline.Stats
-	switch {
-	case o.Active():
-		st, r.files, err = runSpecObserved(ctx, bench, sp, o)
-		r.outcome = cacheTraced
-	case sp.Sel == nil:
-		st, r.outcome, err = run(sp.Cfg, pipeline.MGConfig{})
-	default:
-		var chosen *minigraph.Selection
-		chosen, err = selectionFor(ctx, bench, sp)
-		if err == nil {
-			st, r.outcome, err = run(sp.Cfg, mgConfigFor(sp.Sel, chosen))
+	var watch *obs.Observer
+	if opts.Obs.Active() {
+		if watch, err = obs.NewRunObserver(opts.Obs, obs.Sanitize(w.Name)+"__"+obs.Sanitize(sp.Label)); err != nil {
+			return r, err
 		}
 	}
+	r.Point, err = evalPoint(ctx, b, sp, opts.Sample, watch, profiled)
+	if watch != nil {
+		if cerr := watch.Close(); err == nil {
+			err = cerr
+		}
+		r.files = watch.Files()
+	}
 	if err != nil {
 		return r, err
 	}
-	r.stats = st
-	r.perf = float64(baseStats.Cycles) / float64(st.Cycles)
-	r.cov = st.Coverage()
+	r.perf = float64(base.stats.Cycles) / float64(r.Stats.Cycles)
+	r.cov = r.Stats.Coverage()
 	return r, nil
-}
-
-// runSpecObserved runs one series point with an observer attached,
-// bypassing the result cache (the trace is a side effect a cache hit
-// would swallow), and returns the names of the files the observer wrote.
-// Selection still goes through the shared caches; only the final timing
-// run is re-executed.
-func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Options) (*pipeline.Stats, []string, error) {
-	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
-	if err != nil {
-		return nil, nil, err
-	}
-	attrs := []metrics.Label{metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name)}
-	var chosen *minigraph.Selection // nil for a singleton
-	if sp.Sel != nil {
-		chosen, err = selectionFor(ctx, b, sp)
-		attrs = append(attrs, metrics.L("policy", sp.Sel.Name()))
-	}
-	var st *pipeline.Stats
-	if err == nil {
-		_, span := metrics.StartSpan(ctx, "simulate", attrs...)
-		st, err = b.RunObserved(sp.Cfg, sp.Sel, chosen, watch)
-		span.End()
-	}
-	if cerr := watch.Close(); err == nil {
-		err = cerr
-	}
-	return st, watch.Files(), err
 }
 
 // --- Figure/table drivers ---

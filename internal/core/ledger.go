@@ -33,24 +33,33 @@ func SetLedger(l *ledger.Ledger) {
 // off.
 func RunLedger() *ledger.Ledger { return runLedger.Load() }
 
-// AppendRecord appends one finished task to the installed run ledger; a
-// no-op when none is installed. r names the task (tool, sweep, workload,
-// series, input, key, cache outcome, files, attribution); AppendRecord
-// fills in what was measured: the wall time, the resources consumed, the
-// run's stats when st is non-nil, the sampling spec that makes them
-// estimates when sample is non-nil, and err. Sweep tasks and the
-// single-run drivers all record through it.
-func AppendRecord(r ledger.Record, wall time.Duration, use metrics.Usage, st *pipeline.Stats, sample *pipeline.SampleSpec, err error) error {
+// appendRecord appends one finished series point pt to the installed run
+// ledger; a no-op when none is installed. Sweep tasks (finishTask) and the
+// driver commands (Task.Finish) all record through it. r names the task
+// (tool, sweep, workload, series, input, files, attribution); appendRecord
+// fills in the rest: the point's key, TaskKey of sp on b under sample (none
+// when b is nil: the task failed before its bench was prepared), its cache
+// outcome, its run's stats (or, for a point that made no run, its
+// selection's coverage), the sampling spec that makes them estimates when
+// sample is non-nil, the wall time and resources measured, and err. Only
+// the record reads the key, so it is hashed here, after the ledger check.
+func appendRecord(r ledger.Record, b *Bench, sp SeriesSpec, sample *pipeline.SampleSpec, pt Point, wall time.Duration, use metrics.Usage, err error) error {
 	l := runLedger.Load()
 	if l == nil {
 		return nil
 	}
+	if b != nil {
+		r.Key = TaskKey(b, sp, sample).Short()
+	}
+	r.Cache = pt.Cache
 	r.WallMS = float64(wall) / float64(time.Millisecond)
 	r.CPUMS = float64(use.CPUNanos) / 1e6
 	r.MaxRSSKB, r.GCCycles = use.MaxRSSKB, use.GCCycles
-	if st != nil {
+	if st := pt.Stats; st != nil {
 		r.Cycles, r.Instrs, r.Uops = st.Cycles, st.Instrs, st.Uops
 		r.IPC, r.UPC, r.Coverage = st.IPC(), st.UPC(), st.Coverage()
+	} else if pt.Selection != nil {
+		r.Coverage = pt.Selection.Coverage()
 	}
 	if sample != nil {
 		r.Estimate, r.Sample = true, sample.Summary()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/metrics"
 	"repro/internal/minigraph"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/selector"
 	"repro/internal/simcache"
@@ -42,7 +43,7 @@ var (
 
 	// resultCache memoizes timing simulations by runKey, one entry per
 	// distinct run: series points whose runs are equal share one.
-	resultCache = simcache.Named[simcache.Key, *pipeline.Stats]("results")
+	resultCache = simcache.Named[simcache.Key, runResult]("results")
 
 	// candsCache memoizes non-default candidate enumerations (ablations).
 	candsCache = simcache.Named[simcache.Key, []*minigraph.Candidate]("cands")
@@ -53,8 +54,15 @@ func init() {
 	benchCache.SizeFunc = func(b *Bench) int64 {
 		return int64(len(b.Trace))*recSize + int64(len(b.Freq))*8
 	}
-	statsSize := int64(reflect.TypeOf(pipeline.Stats{}).Size())
-	resultCache.SizeFunc = func(*pipeline.Stats) int64 { return statsSize }
+	runSize := int64(reflect.TypeOf(pipeline.Stats{}).Size() + reflect.TypeOf(pipeline.SampleReport{}).Size())
+	resultCache.SizeFunc = func(runResult) int64 { return runSize }
+}
+
+// runResult is one timing run: its statistics and, for a sampled run, the
+// report drivers print as a fidelity banner.
+type runResult struct {
+	stats  *pipeline.Stats
+	report pipeline.SampleReport
 }
 
 // CacheCounters reports the activity of the simulation caches.
@@ -168,28 +176,60 @@ func runKey(b *Bench, cfg pipeline.Config, mg pipeline.MGConfig, sample *pipelin
 	return simcache.Fingerprint("run", b.Workload.Name, b.Input, cfg, id, sample)
 }
 
-// runStatsNoted returns the timing of b on cfg under mg through the result
-// cache, at sampled fidelity when sample is non-nil, and how it was
-// answered: "miss" only when this call simulated.
-func runStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config, mg pipeline.MGConfig, sample *pipeline.SampleSpec) (*pipeline.Stats, string, error) {
-	return resultCache.DoCtx(ctx, runKey(b, cfg, mg, sample), func(ctx context.Context) (*pipeline.Stats, error) {
-		ctx, sp := metrics.StartSpan(ctx, "simulate",
-			metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
-		defer sp.End()
-		if sample != nil {
-			st, _, err := b.runSampled(ctx, cfg, mg, *sample)
-			return st, err
+// timingRun returns the timing of b on cfg under mg, at sampled fidelity
+// when sample is non-nil, and how it was answered: "miss" only when this
+// call simulated. An exact run without mini-graphs is the run a slack
+// profile makes on cfg. If the sweep profiles cfg anyway (profiled, see
+// ownProfiles), it takes that profile's run, starting it here if its job
+// has not started yet, so the runs a sweep makes do not depend on worker
+// timing. Otherwise a profile completed earlier may answer it. Without
+// caching every run is simulated. Any other run goes through the result
+// cache.
+func timingRun(ctx context.Context, b *Bench, cfg pipeline.Config, mg pipeline.MGConfig, sample *pipeline.SampleSpec, profiled map[pipeline.Config]bool) (runResult, string, error) {
+	if sample == nil && !mg.Enabled() && !resultCache.Disabled() {
+		if profiled[cfg] {
+			pr, outcome, err := b.profileRunCtx(ctx, cfg)
+			if err != nil {
+				return runResult{}, "", err
+			}
+			return runResult{stats: pr.stats}, outcome, nil
 		}
-		return pipeline.Run(b.Prog, b.Trace, cfg, mg, nil)
+		if pr, ok := b.profiles.Get(simcache.Fingerprint(cfg)); ok {
+			return runResult{stats: pr.stats}, simcache.Hit, nil
+		}
+	}
+	return resultCache.DoCtx(ctx, runKey(b, cfg, mg, sample), func(ctx context.Context) (runResult, error) {
+		return simulate(ctx, b, cfg, mg, sample, nil)
 	})
 }
 
-// selectionFor returns the memoized selection of series point sp on b:
-// its policy, profiling on the spec's profiling machine and input where it
-// needs a profile, under the spec's candidate-enumeration limits and MGT
-// budget. A policy that needs no profile ignores the profiling machine and
-// input, so they do not split its entry.
-func selectionFor(ctx context.Context, b *Bench, sp SeriesSpec) (*minigraph.Selection, error) {
+// simulate makes one timing run of b on cfg under mg under a simulate
+// span: observed by watch when it is non-nil, at sampled fidelity when
+// sample is non-nil, else in full detail.
+func simulate(ctx context.Context, b *Bench, cfg pipeline.Config, mg pipeline.MGConfig, sample *pipeline.SampleSpec, watch *obs.Observer) (runResult, error) {
+	ctx, sp := metrics.StartSpan(ctx, "simulate",
+		metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
+	defer sp.End()
+	var r runResult
+	var err error
+	switch {
+	case watch != nil:
+		r.stats, err = pipeline.RunObserved(b.Prog, b.Trace, cfg, mg, nil, watch)
+	case sample != nil:
+		r.stats, r.report, err = b.runSampled(ctx, cfg, mg, *sample)
+	default:
+		r.stats, err = pipeline.Run(b.Prog, b.Trace, cfg, mg, nil)
+	}
+	return r, err
+}
+
+// SelectionFor returns the memoized selection of series point sp on b,
+// EvalPoint's select step, and how the selection cache answered. The
+// selection is sp's policy, profiling on the spec's profiling machine and
+// input where it needs a profile, under the spec's candidate-enumeration
+// limits and MGT budget. A policy that needs no profile ignores the
+// profiling machine and input, so they do not split its entry.
+func SelectionFor(ctx context.Context, b *Bench, sp SeriesSpec) (*minigraph.Selection, string, error) {
 	profCfg, profInput := profCfgOf(sp), sp.ProfInput
 	if profInput == "" {
 		profInput = b.Input
@@ -200,10 +240,9 @@ func selectionFor(ctx context.Context, b *Bench, sp SeriesSpec) (*minigraph.Sele
 	limits, selCfg := sp.limits(), sp.selectCfg()
 	key := simcache.Fingerprint("select", b.Workload.Name, b.Input,
 		identityOf(sp.Sel), profCfg, profInput, limits, selCfg)
-	chosen, _, err := selectCache.DoCtx(ctx, key, func(ctx context.Context) (*minigraph.Selection, error) {
+	return selectCache.DoCtx(ctx, key, func(ctx context.Context) (*minigraph.Selection, error) {
 		return deriveSelection(ctx, b, sp.Sel, profCfg, profInput, limits, selCfg)
 	})
-	return chosen, err
 }
 
 // deriveSelection performs the selection stage of one series point through
@@ -251,7 +290,11 @@ func collectProfile(ctx context.Context, b *Bench, profCfg pipeline.Config, prof
 		}
 		profBench = pb
 	}
-	return profBench.ProfileCtx(ctx, profCfg)
+	pr, _, err := profBench.profileRunCtx(ctx, profCfg)
+	if err != nil {
+		return nil, err
+	}
+	return pr.prof, nil
 }
 
 // TaskKey returns the content-addressed fingerprint of series point sp

@@ -32,12 +32,6 @@ func SetTelemetry(l *slog.Logger) { telemetry.Store(l) }
 // off. Callers nil-check so disabled telemetry costs one atomic load.
 func tlog() *slog.Logger { return telemetry.Load() }
 
-// cacheTraced is the cache outcome of an observed series point, which
-// bypasses the result cache. Every other task reports the simcache
-// outcome of its result lookup ("hit", "shared" or "miss"; always "miss"
-// with caching disabled).
-const cacheTraced = "traced"
-
 // FprintCacheStats prints the process-wide simulation-cache counters in
 // the one format shared by every driver command's -cachestats flag.
 func FprintCacheStats(w io.Writer) {
@@ -115,13 +109,14 @@ func registerCacheSeries(reg *metrics.Registry, name string, stats func() simcac
 // finishTask hands this one value to every completion sink, so they all
 // report the same wall time.
 type taskDone struct {
-	index            int // position in the sweep's task list
-	workload, series string
-	worker           int
-	wall             time.Duration
-	use              metrics.Usage
-	specResult       // stats, key, cache outcome and observed files
-	err              error
+	index      int // position in the sweep's task list
+	workload   string
+	spec       SeriesSpec
+	worker     int
+	wall       time.Duration
+	use        metrics.Usage
+	specResult // point, bench and observed files
+	err        error
 }
 
 // finishTask records one finished task of sweep title in the run ledger,
@@ -129,9 +124,9 @@ type taskDone struct {
 func finishTask(title string, opts Options, track *metrics.SweepProgress, d taskDone) {
 	// An append failure is logged, never fatal: history is an
 	// observability concern, not a correctness one.
-	if err := AppendRecord(ledger.Record{Tool: "sweep", Sweep: title, Workload: d.workload,
-		Series: d.series, Input: opts.input(), Key: d.key.Short(), Cache: d.outcome,
-		Files: d.files}, d.wall, d.use, d.stats, opts.Sample, d.err); err != nil {
+	if err := appendRecord(ledger.Record{Tool: "sweep", Sweep: title, Workload: d.workload,
+		Series: d.spec.Label, Input: opts.input(), Files: d.files},
+		d.bench, d.spec, opts.Sample, d.Point, d.wall, d.use, d.err); err != nil {
 		if l := tlog(); l != nil {
 			l.Warn("ledger.append", "error", err)
 		}
@@ -144,8 +139,8 @@ func finishTask(title string, opts Options, track *metrics.SweepProgress, d task
 	sweepSeries.taskSeconds.Observe(d.wall.Seconds())
 	if l := tlog(); l != nil {
 		l.Info("task.finish", "sweep", title, "workload", d.workload,
-			"series", d.series, "worker", d.worker,
-			"wall_ms", float64(d.wall)/float64(time.Millisecond), "cache", d.outcome)
+			"series", d.spec.Label, "worker", d.worker,
+			"wall_ms", float64(d.wall)/float64(time.Millisecond), "cache", d.Cache)
 	}
-	track.TaskDone(d.index, d.outcome, d.wall, d.err)
+	track.TaskDone(d.index, d.Cache, d.wall, d.err)
 }

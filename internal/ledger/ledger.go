@@ -122,7 +122,7 @@ type Record struct {
 	Time  string `json:"time"` // RFC3339Nano, UTC
 	Rev   string `json:"rev"`
 	RunID string `json:"run"`  // one ID per process invocation
-	Tool  string `json:"tool"` // mgreport, mgsim, mgselect
+	Tool  string `json:"tool"` // sweep, mgreport, mgsim, mgselect
 
 	Sweep    string `json:"sweep,omitempty"` // sweep title, when part of one
 	Workload string `json:"workload"`
@@ -134,10 +134,16 @@ type Record struct {
 	// sampling), tying the record to exactly the configuration that
 	// produced it. It names the point, not its simulation: two points whose
 	// selections are equal share one run under different keys.
-	Key   string `json:"key,omitempty"`
-	Cache string `json:"cache,omitempty"` // hit/miss/shared/traced/nocache
-	// Files names the observability files (pipetrace, seek index,
-	// intervals) an observed task wrote into its -tracedir.
+	Key string `json:"key,omitempty"`
+	// Cache is how the point's timing run was answered: "hit", "shared"
+	// or "miss" (a selection-only mgselect record: its selection's), or
+	// "traced" for an observed run, which bypasses the result cache.
+	// Older files also carry "nocache" (an uncached sweep task) and "run"
+	// (a driver run before drivers shared the sweep's point evaluation);
+	// the compare gate reads both as simulated.
+	Cache string `json:"cache,omitempty"`
+	// Files names the observability files (pipetrace, intervals) an
+	// observed task wrote into its -tracedir.
 	Files []string `json:"files,omitempty"`
 
 	// Estimate marks a sampled (low-fidelity) run: the metrics below are
