@@ -39,8 +39,7 @@ race:
 # an interval file. The trace and its mgtrace -tojsonl conversion must
 # render and attribute identically (bar the file name heading the
 # attribution); the intervals must summarize; a cycle window must render
-# and attribute; and the live /debug/trace flight-recorder endpoint tests
-# must pass.
+# and attribute; and the debug server's route test must pass.
 obs-smoke:
 	@dir=$$(mktemp -d); mgt=$$dir/mgtrace; \
 	t=$$dir/comm.crc32_small_reduced-3way_Slack-Dynamic; b=$$t.pipetrace.bin; j=$$t.pipetrace.jsonl; \
@@ -57,7 +56,7 @@ obs-smoke:
 	$$mgt -summary $$t.intervals.jsonl >/dev/null && \
 	$$mgt -trace $$b -window 2000:4000 -count 100000 >/dev/null && \
 	$$mgt -critpath $$b -config reduced -window 2000:4000 >/dev/null && \
-	$(GO) test -run 'TestFlight|TestTraceWindowHandler|TestServeDebugTraceEndpoint' -count=1 ./internal/obs >/dev/null || \
+	$(GO) test -run 'TestServeDebug' -count=1 ./internal/obs >/dev/null || \
 		{ echo "obs-smoke FAILED"; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir && echo "obs-smoke ok"
 
@@ -89,10 +88,12 @@ critpath-smoke:
 # (representative windows) on two workers: each sampled run must open its
 # spans under its own task, or concurrent runs interleave on one trace row
 # and the file is invalid. The third runs the design-choice ablations on
-# two workers, which must trace like any other sweep. Last, the driver
-# commands evaluate their point the way a sweep task does: mgsim, a sampled
+# two workers, which must trace like any other sweep. The driver commands
+# evaluate their point the way a sweep task does: mgsim, a sampled
 # mgselect and mgreport -attrib must each write a valid trace with a
-# simulate span.
+# simulate span. Last, the debug server must not change a run: the tiny
+# sweep with -httpaddr prints the same report as without it, bar the
+# timing line.
 metrics-smoke:
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/mgsim -workload comm.crc32 -input small -config reduced -selector Slack-Profile \
@@ -114,6 +115,12 @@ metrics-smoke:
 	$(GO) run ./cmd/mgreport -exp ablation -input small -only comm.crc32,comm.gen01 -workers 2 \
 		-plots=false -trace-out $$dir/ablation.trace >/dev/null && \
 	$(GO) run ./cmd/mgtrace -spans $$dir/ablation.trace >/dev/null && \
+	fig1="-exp fig1 -only comm.crc32 -input small -plots=false" && \
+	$(GO) run ./cmd/mgreport $$fig1 > $$dir/plain 2>/dev/null && \
+	$(GO) run ./cmd/mgreport $$fig1 -httpaddr 127.0.0.1:0 > $$dir/served 2>$$dir/served.err && \
+	grep -q 'debug server on http://' $$dir/served.err && \
+	sed -i '/completed in/d' $$dir/plain $$dir/served && cmp $$dir/plain $$dir/served || \
+		{ echo "metrics-smoke FAILED"; rm -rf $$dir; exit 1; }; \
 	rm -rf $$dir && echo "metrics-smoke ok"
 
 # Run-ledger end to end: the same tiny sweep twice with -ledger must
@@ -156,7 +163,7 @@ ledger-smoke:
 # Self-profiling end to end: a ledgered sweep must record per-task CPU
 # time (cpu_ms on every fresh task record), print the one-line resource
 # summary on stderr, gate clean against itself under -gate-cpu, and the
-# dashboard's runtime-health strip tests must pass.
+# dashboard's empty and one-record tests must pass.
 selfprof-smoke:
 	@dir=$$(mktemp -d); \
 	$(GO) run ./cmd/mgreport -exp fig1 -only comm.crc32 -input small \
@@ -167,8 +174,7 @@ selfprof-smoke:
 		{ echo "selfprof-smoke FAILED: no resource summary on stderr"; cat $$dir/err; exit 1; }; \
 	$(GO) run ./cmd/mgstat -ledger $$dir/led -compare ci,ci -gate-cpu 5 >/dev/null || \
 		{ echo "selfprof-smoke FAILED: self-compare did not gate clean under -gate-cpu"; exit 1; }; \
-	$(GO) test -run 'TestDashHealthStrip|TestDashEmptyLedger|TestDashSingleRecord' -count=1 ./internal/ledger >/dev/null && \
-	$(GO) test -run 'TestWatchdog' -count=1 ./internal/core >/dev/null && \
+	$(GO) test -run 'TestDashEmptyLedger|TestDashSingleRecord' -count=1 ./internal/ledger >/dev/null && \
 	rm -rf $$dir && echo "selfprof-smoke ok"
 
 # -nocache end to end: the same sweep with the caches on and off must print
@@ -214,8 +220,8 @@ bench:
 # deltas measure the hardware as much as the code); pass -strict-host to
 # make that a failure (see README "Performance").
 benchjson:
-	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkRunSampled|BenchmarkHealth' -benchtime 5x -count 3 -benchmem \
-		./internal/pipeline ./internal/critpath ./internal/metrics | \
+	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkRunSampled' -benchtime 5x -count 3 -benchmem \
+		./internal/pipeline ./internal/critpath | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 		-baseline BENCH_PR15.json > BENCH_PR17.json

@@ -44,7 +44,6 @@ func main() {
 		wName      = flag.String("workload", "media.adpcm_enc", "workload for the fig8 limit study")
 		workloads  = flag.String("only", "", "comma-separated workload names to restrict sweeps to")
 		plots      = flag.Bool("plots", true, "render ASCII S-curve plots")
-		progress   = flag.Bool("progress", false, "print per-workload progress")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		nocache    = flag.Bool("nocache", false, "bypass the simulation caches: re-prepare and re-simulate everything")
 		cacheStats = flag.Bool("cachestats", false, "print simulation-cache counters to stderr")
@@ -58,9 +57,6 @@ func main() {
 		attribCfg  = flag.String("attribcfg", "reduced", "machine configuration for -attrib")
 		attribOut  = flag.String("attribout", "", "base path for -attrib JSON/CSV artifacts")
 		attribTop  = flag.Int("attribtop", 10, "offender/comparison rows to print in -attrib")
-		watchdog   = flag.Bool("watchdog", false, "arm the sweep watchdog: report tasks running far past the sweep median and wedged sweeps to /debug/sweep and the -v telemetry log")
-		wdSlow     = flag.Float64("watchdog-slow", 8, "with -watchdog: flag a task once it exceeds this multiple of the sweep's median task time")
-		wdWedge    = flag.Duration("watchdog-wedge", 2*time.Minute, "with -watchdog: flag the sweep when no task completes for this long")
 	)
 	resolveSample := core.SampleFlags(flag.CommandLine)
 	resolveDriver := core.DriverFlags()
@@ -99,17 +95,11 @@ func main() {
 
 	opts := core.Options{Input: *input, Workers: *workers,
 		Obs: obs.FlagOptions(*pipetrace, *intervals, *tracedir), Sample: sample}
-	if *watchdog {
-		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
-	}
 	if sample != nil {
 		fmt.Fprintf(os.Stderr, "sampled fidelity %s: series and relative-baseline stats are estimates; profiling and selection stay exact\n", sample.Summary())
 	}
 	if *workloads != "" {
 		opts.Workloads = splitNames(*workloads)
-	}
-	if *progress {
-		opts.Progress = os.Stderr
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

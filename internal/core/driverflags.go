@@ -29,14 +29,13 @@ type Driver struct {
 
 // DriverFlags registers -v, -httpaddr, -trace-out, -ledger and -ledger-rev
 // on the default flag set and returns a resolver to call after flag.Parse.
-// The resolver installs the structured telemetry logger, the debug server
-// with its runtime-health sampler, the span tracer and the run ledger, as
-// the flags ask. Call Close on the returned Driver once the run's last span
-// and ledger record are done.
+// The resolver installs the structured telemetry logger, the debug server,
+// the span tracer and the run ledger, as the flags ask. Call Close on the
+// returned Driver once the run's last span and ledger record are done.
 func DriverFlags() func() (*Driver, error) {
 	var (
 		verbose   = flag.Bool("v", false, "verbose: structured telemetry on stderr")
-		httpaddr  = flag.String("httpaddr", "", "serve expvar, pprof, /metrics and /debug/sweep on this address during the run")
+		httpaddr  = flag.String("httpaddr", "", "serve expvar, pprof, /metrics, /debug/sweep and /debug/dash on this address during the run")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace (and FILE.spans.jsonl) of the run's spans to FILE")
 		ledgerDir = flag.String("ledger", "", "append run records to the persistent ledger in this directory")
 		ledgerRev = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
@@ -60,8 +59,7 @@ func DriverFlags() func() (*Driver, error) {
 			if err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars /debug/pprof/ /metrics /debug/sweep\n", addr)
-			metrics.StartHealth(0)
+			fmt.Fprintf(os.Stderr, "debug server on http://%s — /debug/vars /debug/pprof/ /metrics /debug/sweep /debug/dash\n", addr)
 		}
 		if *traceOut != "" {
 			EnableMetrics()

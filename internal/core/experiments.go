@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -34,8 +32,6 @@ type Options struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS); the effective worker
 	// count is additionally capped at the number of schedulable tasks.
 	Workers int
-	// Progress receives one line per completed workload when non-nil.
-	Progress io.Writer
 	// Obs enables per-series-point observability outputs (pipetrace and
 	// interval files under Obs.Dir). Observed series runs bypass the
 	// result cache — the trace is a side effect a cache hit would swallow
@@ -50,10 +46,6 @@ type Options struct {
 	// only the timing numbers become estimates. nil = full detail.
 	// Mutually exclusive with Obs (an observer needs the real full run).
 	Sample *pipeline.SampleSpec
-	// Watchdog arms the sweep watchdog (slow-task and wedge detection on
-	// /debug/sweep and the telemetry log) when non-nil. See WatchdogConfig
-	// for the thresholds; the zero value selects all defaults.
-	Watchdog *WatchdogConfig
 }
 
 func (o Options) input() string {
@@ -193,10 +185,6 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	}
 	track := metrics.StartSweep(title, refs)
 	defer track.Finish()
-	if opts.Watchdog != nil {
-		wd := StartWatchdog(track, title, *opts.Watchdog)
-		defer wd.Stop()
-	}
 
 	type task struct{ wi, si int }
 	tasks := make([]task, 0, len(ws)*len(specs))
@@ -207,17 +195,12 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	}
 	vals := make([][2]float64, len(tasks)) // perf, coverage per task
 	errs := make([]error, len(tasks))
-	pending := make([]int32, len(ws)) // specs left per workload (progress)
-	for i := range pending {
-		pending[i] = int32(len(specs))
-	}
 
 	workers := opts.workers()
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	profiled := ownProfiles(opts.input(), specs)
-	var mu sync.Mutex // guards Progress writer
 	// A job is a series task, or a slack profile some of them train on.
 	type job struct {
 		ti   int                   // index into tasks
@@ -262,11 +245,6 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 				vals[ti] = [2]float64{r.perf, r.cov}
 				errs[ti] = err
 				finishTask(title, opts, track, d)
-				if atomic.AddInt32(&pending[t.wi], -1) == 0 && opts.Progress != nil {
-					mu.Lock()
-					fmt.Fprintf(opts.Progress, "done %s\n", w.Name)
-					mu.Unlock()
-				}
 			}
 		}(k)
 	}
@@ -578,8 +556,8 @@ type LimitResult struct {
 // all 1024 subsets on the reduced machine, and compare with what each
 // selector would have chosen from the same pool. Each subset is one series
 // (selector.Subset) of a sweep over the one workload, so the study runs
-// through RunSweep like a figure, with opts' input, workers, sampling,
-// observers and watchdog; opts.Suites and opts.Workloads are ignored.
+// through RunSweep like a figure, with opts' input, workers, sampling and
+// observers; opts.Suites and opts.Workloads are ignored.
 func LimitStudy(workloadName string, opts Options) (*LimitResult, error) {
 	bench, err := PrepareSharedByName(workloadName, opts.input())
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"time"
 
 	"repro/internal/ledger"
@@ -89,10 +90,14 @@ func startTask(ctx context.Context, workload, series string, mark func() metrics
 	return t
 }
 
-// StartTask opens a driver command's task for one series point. It
-// measures whole-process CPU time: a driver's profiling and sampled runs
-// fan out over goroutines, which one thread's clock would undercount.
+// StartTask opens a driver command's task for one series point, on the
+// calling goroutine, which it pins to its OS thread until Finish, as
+// RunSweep pins its workers: the spans nested in the task then measure
+// their thread CPU time exactly. The task itself measures whole-process
+// CPU time: a driver's profiling and sampled runs fan out over goroutines,
+// which one thread's clock would undercount.
 func StartTask(workload, series string) *Task {
+	runtime.LockOSThread()
 	return startTask(context.Background(), workload, series, metrics.MarkProcessUsage)
 }
 
@@ -115,6 +120,7 @@ func (t *Task) end(outcome string) (time.Duration, metrics.Usage) {
 // fills in the task's workload and series, and appendRecord the rest.
 func (t *Task) Finish(r ledger.Record, b *Bench, sp SeriesSpec, sample *pipeline.SampleSpec, pt Point, err error) error {
 	wall, use := t.end(pt.Cache)
+	runtime.UnlockOSThread()
 	r.Workload, r.Series = t.workload, t.series
 	return appendRecord(r, b, sp, sample, pt, wall, use, err)
 }

@@ -98,7 +98,9 @@ func TestDriverRecordMatchesSweep(t *testing.T) {
 // TestDriverSpans checks the span tree of a driver's point, exact, sampled
 // or observed: one task span, with prepare, profile (when the policy needs
 // one), select (when there is a policy) and simulate beneath it, and every
-// span in the trace beneath it, so the export is a valid Chrome trace.
+// span in the trace beneath it, so the export is a valid Chrome trace. An
+// exact point runs on the task's pinned thread, so under CPU accounting its
+// simulate span records CPU time, and no more than the task's.
 func TestDriverSpans(t *testing.T) {
 	red := pipeline.Reduced()
 	rep := &pipeline.SampleSpec{Interval: 1000, Window: 1000, Mode: pipeline.SampleRepresentative, Workers: 2}
@@ -119,10 +121,13 @@ func TestDriverSpans(t *testing.T) {
 		if c.observed {
 			watch = &obs.Observer{Trace: obs.NewBinaryPipetrace(io.Discard)}
 		}
+		exact := c.sample == nil
 		ResetCaches()
 		tr := metrics.NewTracer()
 		metrics.InstallTracer(tr)
+		metrics.SetCPUAccounting(exact)
 		driverPoint(t, sp, c.sample, watch)
+		metrics.SetCPUAccounting(false)
 		metrics.InstallTracer(nil)
 		spans := tr.Spans()
 
@@ -138,9 +143,13 @@ func TestDriverSpans(t *testing.T) {
 			t.Fatalf("%s: %d task spans, want 1", name, len(tasks))
 		}
 		under := map[string]int{}
+		var sim metrics.SpanRecord
 		for _, s := range spans {
 			if s.ID == tasks[0].ID {
 				continue
+			}
+			if s.Name == "simulate" {
+				sim = s
 			}
 			p := s
 			for p.Parent != 0 && p.Parent != tasks[0].ID {
@@ -160,6 +169,13 @@ func TestDriverSpans(t *testing.T) {
 		}
 		if err := validChromeTrace(spans); err != nil {
 			t.Errorf("%s: trace invalid: %v", name, err)
+		}
+		// Where the CPU clock reads 0 (no Linux clocks), nothing is measured.
+		if exact && metrics.ThreadCPUNanos() > 0 {
+			if sim.CPUNanos <= 0 || sim.CPUNanos > tasks[0].CPUNanos {
+				t.Errorf("%s: simulate span CPU %d ns, want in (0, %d] (the task's)",
+					name, sim.CPUNanos, tasks[0].CPUNanos)
+			}
 		}
 	}
 }

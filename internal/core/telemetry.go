@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/simcache"
 )
@@ -75,8 +74,6 @@ func EnableMetrics() *metrics.Registry {
 		sweepSeries.taskSeconds = reg.Histogram("mg_task_wall_seconds",
 			"wall time per sweep task", taskWallBuckets)
 		pipeline.InstallMetrics(reg)
-		obs.InstallMetrics(reg)
-		metrics.InstallHealthMetrics(reg)
 		metrics.Install(reg)
 	})
 	return metrics.Default()

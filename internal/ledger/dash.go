@@ -80,26 +80,17 @@ type dashSweep struct {
 	ETA     string
 }
 
-// dashHealthRow is one vital sign in the runtime-health strip.
-type dashHealthRow struct {
-	Label string
-	Spark template.HTML // history sparkline over the sampler's ring
-	Value string        // latest reading, rendered
-}
-
 type dashView struct {
-	Path       string
-	Rev        string
-	Host       string
-	Records    int
-	Skipped    int
-	Revs       []string
-	Series     []dashSeries
-	Runs       []dashRun
-	RunSpark   template.HTML // hit-rate-over-runs sparkline
-	Sweeps     []dashSweep
-	Health     []dashHealthRow
-	HealthNote string // shown instead of rows when the sampler is off/empty
+	Path     string
+	Rev      string
+	Host     string
+	Records  int
+	Skipped  int
+	Revs     []string
+	Series   []dashSeries
+	Runs     []dashRun
+	RunSpark template.HTML // hit-rate-over-runs sparkline
+	Sweeps   []dashSweep
 }
 
 // buildDash aggregates the raw history into the page's view model.
@@ -213,43 +204,7 @@ func buildDash(l *Ledger, recs []Record, skipped int) dashView {
 		}
 		v.Sweeps = append(v.Sweeps, d)
 	}
-
-	v.Health, v.HealthNote = healthStrip()
 	return v
-}
-
-// healthStrip renders the runtime-health sampler's history as sparkline
-// rows; with no sampler (or no samples yet) it returns an explanatory note
-// instead.
-func healthStrip() ([]dashHealthRow, string) {
-	h := metrics.Health()
-	if h == nil {
-		return nil, "health sampler off — start the process with -httpaddr to record runtime health"
-	}
-	hist := h.History()
-	if len(hist) == 0 {
-		return nil, "health sampler armed, no samples yet"
-	}
-	last := hist[len(hist)-1]
-	row := func(label string, get func(metrics.HealthSample) float64, value string) dashHealthRow {
-		vals := make([]float64, len(hist))
-		for i, s := range hist {
-			vals[i] = get(s)
-		}
-		return dashHealthRow{Label: label, Spark: sparkline(vals), Value: value}
-	}
-	return []dashHealthRow{
-		row("heap in use", func(s metrics.HealthSample) float64 { return float64(s.HeapBytes) / (1 << 20) },
-			fmt.Sprintf("%.1f MB", float64(last.HeapBytes)/(1<<20))),
-		row("goroutines", func(s metrics.HealthSample) float64 { return float64(s.Goroutines) },
-			fmt.Sprintf("%d", last.Goroutines)),
-		row("GC CPU", func(s metrics.HealthSample) float64 { return s.GCCPUPct },
-			fmt.Sprintf("%.1f%%", last.GCCPUPct)),
-		row("GC pause p99", func(s metrics.HealthSample) float64 { return s.GCPauseP99MS },
-			fmt.Sprintf("%.2f ms", last.GCPauseP99MS)),
-		row("sched latency p99", func(s metrics.HealthSample) float64 { return s.SchedLatP99MS },
-			fmt.Sprintf("%.2f ms", last.SchedLatP99MS)),
-	}, ""
 }
 
 // sparkline renders values as a word-sized inline-SVG line (newest right).
@@ -346,11 +301,6 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 <td class="num">{{.Done}}/{{.Total}}</td><td class="num">{{if .Failed}}{{.Failed}}{{else}}–{{end}}</td>
 <td class="num">{{if .Active}}{{if .ETA}}{{.ETA}}{{else}}…{{end}}{{else}}done{{end}}</td></tr>
 {{end}}</table>{{end}}
-
-<h2>Runtime health</h2>
-{{if .Health}}<table><tr><th>signal</th><th>history</th><th class="num">latest</th></tr>
-{{range .Health}}<tr><td>{{.Label}}</td><td>{{.Spark}}</td><td class="num">{{.Value}}</td></tr>
-{{end}}</table>{{else}}<p class="muted">{{.HealthNote}}</p>{{end}}
 
 <h2>Series history</h2>
 {{if not .Series}}<p class="muted">no timing records yet — run a sweep with -ledger pointing here</p>{{else}}

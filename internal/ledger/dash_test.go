@@ -131,7 +131,7 @@ func TestDashEmptyLedger(t *testing.T) {
 	defer metrics.ResetProgress()
 	l := mustOpen(t, t.TempDir(), "r1")
 	page := dashPage(t, l)
-	for _, want := range []string{"Runtime health", l.Host().Hostname} {
+	for _, want := range []string{"Series history", "no timing records yet", l.Host().Hostname} {
 		if !strings.Contains(page, want) {
 			t.Errorf("empty-ledger dashboard missing %q", want)
 		}
@@ -161,47 +161,5 @@ func TestDashSingleRecord(t *testing.T) {
 	}
 	if !strings.Contains(page, "–") {
 		t.Errorf("delta placeholder missing with only one point")
-	}
-}
-
-// TestDashHealthStrip drives the runtime-health section through its three
-// states: sampler off (note), armed but empty (note), and populated (five
-// labelled sparkline rows).
-func TestDashHealthStrip(t *testing.T) {
-	metrics.ResetProgress()
-	defer metrics.ResetProgress()
-	l := mustOpen(t, t.TempDir(), "r1")
-
-	prev := metrics.InstallHealth(nil)
-	defer metrics.InstallHealth(prev)
-
-	if page := dashPage(t, l); !strings.Contains(page, "health sampler off") {
-		t.Errorf("sampler-off note missing")
-	}
-
-	h := metrics.NewHealthSampler(time.Second)
-	metrics.InstallHealth(h)
-	if page := dashPage(t, l); !strings.Contains(page, "no samples yet") {
-		t.Errorf("armed-but-empty note missing")
-	}
-
-	for i := 0; i < 3; i++ {
-		h.Push(metrics.HealthSample{
-			HeapBytes:  uint64(10+i) << 20,
-			Goroutines: int64(4 + i),
-			GCCPUPct:   0.5,
-		})
-	}
-	page := dashPage(t, l)
-	for _, want := range []string{
-		"Runtime health", "heap in use", "goroutines", "GC CPU",
-		"GC pause p99", "sched latency p99", "12.0 MB", "<svg",
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("health strip missing %q", want)
-		}
-	}
-	if strings.Contains(page, "health sampler") {
-		t.Errorf("note rendered alongside a populated strip")
 	}
 }

@@ -46,36 +46,16 @@ type SweepSnapshot struct {
 	ElapsedMS float64        `json:"elapsed_ms"`
 	ETAMS     float64        `json:"eta_ms,omitempty"`
 	Tasks     []TaskSnapshot `json:"tasks"`
-	Incidents []Incident     `json:"incidents,omitempty"`
 }
-
-// Incident is one watchdog finding attached to a sweep: a task running far
-// past the sweep's median, or a wedged sweep making no progress at all.
-type Incident struct {
-	Time      string  `json:"time"` // RFC 3339 UTC
-	Kind      string  `json:"kind"` // "slow-task" or "wedge"
-	Workload  string  `json:"workload,omitempty"`
-	Series    string  `json:"series,omitempty"`
-	Worker    int     `json:"worker,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
-	MedianMS  float64 `json:"median_ms,omitempty"`
-	Detail    string  `json:"detail,omitempty"`
-	Stacks    string  `json:"stacks,omitempty"` // full goroutine dump at detection time
-}
-
-// maxIncidents bounds retained incidents per sweep; a sweep wedged for hours
-// should not grow its snapshot without limit.
-const maxIncidents = 64
 
 // SweepProgress tracks one sweep's tasks. Created by StartSweep; the
 // owning sweep marks tasks running/done and calls Finish.
 type SweepProgress struct {
-	mu        sync.Mutex
-	title     string
-	started   time.Time
-	active    bool
-	tasks     []taskProgress
-	incidents []Incident
+	mu      sync.Mutex
+	title   string
+	started time.Time
+	active  bool
+	tasks   []taskProgress
 }
 
 type taskProgress struct {
@@ -141,16 +121,6 @@ func (p *SweepProgress) TaskDone(i int, cache string, wall time.Duration, err er
 	p.mu.Unlock()
 }
 
-// AddIncident attaches a watchdog incident to the sweep (bounded at
-// maxIncidents; later ones are dropped).
-func (p *SweepProgress) AddIncident(inc Incident) {
-	p.mu.Lock()
-	if len(p.incidents) < maxIncidents {
-		p.incidents = append(p.incidents, inc)
-	}
-	p.mu.Unlock()
-}
-
 // Finish marks the sweep inactive.
 func (p *SweepProgress) Finish() {
 	p.mu.Lock()
@@ -193,9 +163,6 @@ func (p *SweepProgress) Snapshot() SweepSnapshot {
 	}
 	if p.active && s.Done > 0 && s.Done < s.Total {
 		s.ETAMS = s.ElapsedMS / float64(s.Done) * float64(s.Total-s.Done)
-	}
-	if len(p.incidents) > 0 {
-		s.Incidents = append([]Incident(nil), p.incidents...)
 	}
 	return s
 }

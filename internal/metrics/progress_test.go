@@ -120,24 +120,3 @@ func TestMetricsHandler(t *testing.T) {
 		t.Errorf("no-registry exposition has samples: %+v", samples)
 	}
 }
-
-// TestSweepIncidents checks watchdog incidents attach to the snapshot and
-// retention is bounded at maxIncidents.
-func TestSweepIncidents(t *testing.T) {
-	defer ResetProgress()
-	p := StartSweep("incident-test", [][2]string{{"w", "s"}})
-	defer p.Finish()
-	if snap := p.Snapshot(); len(snap.Incidents) != 0 {
-		t.Fatalf("fresh sweep has incidents: %+v", snap.Incidents)
-	}
-	for i := 0; i < maxIncidents+10; i++ {
-		p.AddIncident(Incident{Kind: "slow-task", Workload: "w", Detail: "d"})
-	}
-	snap := p.Snapshot()
-	if len(snap.Incidents) != maxIncidents {
-		t.Errorf("retained %d incidents, want the %d cap", len(snap.Incidents), maxIncidents)
-	}
-	if snap.Incidents[0].Kind != "slow-task" || snap.Incidents[0].Workload != "w" {
-		t.Errorf("incident fields lost: %+v", snap.Incidents[0])
-	}
-}

@@ -14,8 +14,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// registerOnce guards the /metrics and /debug/sweep registrations on the
-// default mux (http.Handle panics on duplicates).
+// registerOnce guards the /metrics, /debug/sweep and /debug/dash
+// registrations on the default mux (http.Handle panics on duplicates).
 var registerOnce sync.Once
 
 // dashHandler holds the /debug/dash page handler. The run-ledger layer
@@ -38,20 +38,17 @@ func serveDash(w http.ResponseWriter, r *http.Request) {
 
 // ServeDebug starts an HTTP server on addr exposing expvar counters
 // (/debug/vars), pprof endpoints (/debug/pprof/), the metrics registry in
-// Prometheus text format (/metrics), live sweep progress (/debug/sweep),
-// the run-history dashboard (/debug/dash, live once a run ledger is
-// installed), and the flight-recorder trace window (/debug/trace?window=N&run=S,
-// enabled here so observed runs feed the ring while the server is up). It
-// listens synchronously — so address errors surface immediately — and
-// serves in the background for the life of the process. Returns the bound
-// address (useful with ":0").
+// Prometheus text format (/metrics), live sweep progress (/debug/sweep)
+// and the run-history dashboard (/debug/dash, live once a run ledger is
+// installed). No route adds work to the simulator's cycle loop, so the
+// server leaves a run's speed unchanged. It listens synchronously — so
+// address errors surface immediately — and serves in the background for
+// the life of the process. Returns the bound address (useful with ":0").
 func ServeDebug(addr string) (string, error) {
 	registerOnce.Do(func() {
 		http.Handle("/metrics", metrics.Handler())
 		http.Handle("/debug/sweep", metrics.SweepHandler())
-		http.Handle("/debug/trace", TraceWindowHandler())
 		http.Handle("/debug/dash", http.HandlerFunc(serveDash))
-		EnableFlightRecorder(DefaultFlightSlots)
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

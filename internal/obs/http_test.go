@@ -12,8 +12,10 @@ import (
 )
 
 // TestServeDebug boots the debug server on an ephemeral port and exercises
-// every endpoint over a real listener: expvar, Prometheus metrics, and the
-// live sweep-progress JSON.
+// every route it serves over a real listener: expvar (/debug/vars), pprof
+// (/debug/pprof/), Prometheus metrics (/metrics), the live sweep-progress
+// JSON (/debug/sweep) and the dashboard (/debug/dash, 503 with no ledger).
+// Any other path, such as /debug/trace, answers 404.
 func TestServeDebug(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("mg_obs_test_total", "test counter").Add(9)
@@ -33,15 +35,15 @@ func TestServeDebug(t *testing.T) {
 		t.Fatalf("ServeDebug returned unbound address %q", addr)
 	}
 
-	get := func(path string) (string, string) {
+	get := func(path string, status int) (string, string) {
 		t.Helper()
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -50,7 +52,7 @@ func TestServeDebug(t *testing.T) {
 		return string(body), resp.Header.Get("Content-Type")
 	}
 
-	vars, _ := get("/debug/vars")
+	vars, _ := get("/debug/vars", http.StatusOK)
 	var varsJSON map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(vars), &varsJSON); err != nil {
 		t.Errorf("/debug/vars is not JSON: %v", err)
@@ -59,7 +61,7 @@ func TestServeDebug(t *testing.T) {
 		t.Error("/debug/vars missing memstats")
 	}
 
-	prom, ct := get("/metrics")
+	prom, ct := get("/metrics", http.StatusOK)
 	if !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics content type %q", ct)
 	}
@@ -77,7 +79,7 @@ func TestServeDebug(t *testing.T) {
 		t.Errorf("/metrics missing mg_obs_test_total: %s", prom)
 	}
 
-	sweep, ct := get("/debug/sweep")
+	sweep, ct := get("/debug/sweep", http.StatusOK)
 	if !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/debug/sweep content type %q", ct)
 	}
@@ -90,6 +92,14 @@ func TestServeDebug(t *testing.T) {
 	if len(body.Sweeps) != 1 || body.Sweeps[0].Title != "obs-test" || body.Sweeps[0].Done != 1 {
 		t.Errorf("/debug/sweep wrong: %s", sweep)
 	}
+
+	if index, _ := get("/debug/pprof/", http.StatusOK); !strings.Contains(index, "goroutine") {
+		t.Errorf("/debug/pprof/ index lists no goroutine profile: %s", index)
+	}
+	if hint, _ := get("/debug/dash", http.StatusServiceUnavailable); !strings.Contains(hint, "-ledger") {
+		t.Errorf("/debug/dash without a ledger: %q, want a -ledger hint", hint)
+	}
+	get("/debug/trace", http.StatusNotFound)
 
 	// Second server on another port must not panic on duplicate mux
 	// registration.

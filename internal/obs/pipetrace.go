@@ -70,8 +70,8 @@ func HasDeps(uops []UopTrace) bool {
 
 // IndexCycle returns the cycle a record is windowed by: the commit cycle
 // for committed uops, and the last stage the uop reached for squashed ones
-// (their commit is -1). Window reads and the flight recorder's window
-// filter both use it, so they agree on which records a window holds.
+// (their commit is -1). Window reads select records by it, so a window of
+// cycles holds squashed uops too.
 func (u *UopTrace) IndexCycle() int64 {
 	if u.Commit >= 0 {
 		return u.Commit

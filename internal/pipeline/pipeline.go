@@ -120,14 +120,10 @@ type machine struct {
 	prof  *slack.Accumulator
 	watch *obs.Observer // nil when observability is off (the common case)
 
-	// Flight-recorder sink (see obs/flight.go): captured once per run from
-	// the process-wide recorder, so the hot path tests one machine field.
-	// emitUops is true when any sink (trace file or flight ring) wants uop
+	// emitUops is true when the observer has a pipetrace, which wants uop
 	// records; obsSrcs is the reused source-list scratch for those records.
-	flight    *obs.FlightRecorder
-	flightRun string
-	emitUops  bool
-	obsSrcs   [3]int
+	emitUops bool
+	obsSrcs  [3]int
 
 	cycle int64
 	seq   int64
@@ -278,11 +274,7 @@ func setupMachine(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *
 	m.p = p
 	m.tr = tr
 	m.watch = watch
-	m.flight = obs.Flight()
-	if m.flight != nil {
-		m.flightRun = p.Name + "/" + cfg.Name
-	}
-	m.emitUops = m.flight != nil || (watch != nil && watch.Trace != nil)
+	m.emitUops = watch != nil && watch.Trace != nil
 	m.sched = sched
 	m.prof = prof
 	m.recycle = !noRecycle
@@ -967,9 +959,6 @@ func (m *machine) checkViolations() {
 	if m.watch != nil && m.watch.Trace != nil {
 		m.watch.Trace.Event(m.cycle, obs.EvFlush, -1, fire.load.seq)
 	}
-	if debugViolationHook != nil {
-		debugViolationHook(fire.load.memPC, fire.store.memPC)
-	}
 	m.ss.Violation(fire.load.memPC, fire.store.memPC)
 	m.flushFrom(fire.load)
 }
@@ -1551,10 +1540,10 @@ var uopKindNames = [...]string{
 }
 
 // observeUop builds the pipetrace record for u at commit (cycle = commit
-// cycle) or squash (squashed = true, no commit cycle) and feeds every
-// active uop sink: the pipetrace writer and/or the flight-recorder ring.
-// Only called when emitUops is set. Neither sink retains the record's
-// Srcs slice, which aliases the machine's scratch array.
+// cycle) or squash (squashed = true, no commit cycle) and writes it to the
+// observer's pipetrace. Only called when emitUops is set. The writer does
+// not retain the record's Srcs slice, which aliases the machine's scratch
+// array.
 func (m *machine) observeUop(u *uop, cycle int64, squashed bool) {
 	h := &m.hot
 	s := u.slot
@@ -1613,12 +1602,7 @@ func (m *machine) observeUop(u *uop, cycle int64, squashed bool) {
 	if h.issue[s] < 0 {
 		r.Done, r.Ready = -1, -1
 	}
-	if m.watch != nil && m.watch.Trace != nil {
-		m.watch.Trace.Uop(r)
-	}
-	if m.flight != nil {
-		m.flight.RecordUop(m.flightRun, &r)
-	}
+	m.watch.Trace.Uop(r)
 }
 
 // sampleInterval records a time-series sample when the current cycle is a
@@ -1664,14 +1648,3 @@ func (m *machine) snapshot() obs.CycleSnapshot {
 		DisabledTemplates: disabled,
 	}
 }
-
-// RunDebugViolations is a diagnostic entry point: it runs like Run (no
-// mini-graphs, no profiling) and invokes cb for every memory-ordering
-// violation's (load PC, store PC) pair.
-func RunDebugViolations(p *prog.Program, tr []emu.Rec, cfg Config, cb func(loadPC, storePC uint32)) (*Stats, error) {
-	debugViolationHook = cb
-	defer func() { debugViolationHook = nil }()
-	return Run(p, tr, cfg, MGConfig{}, nil)
-}
-
-var debugViolationHook func(loadPC, storePC uint32)

@@ -60,8 +60,6 @@ func putMachine(m *machine) {
 	m.p = nil
 	m.tr = nil
 	m.watch = nil
-	m.flight = nil
-	m.flightRun = ""
 	m.emitUops = false
 	m.prof = nil
 	if cap(m.profRecs) > poolableRecs {
